@@ -161,17 +161,12 @@ func BenchmarkAblationEarlyAbandonOn(b *testing.B) {
 	runAbl(b, core.Options{EarlyAbandon: true}, false)
 }
 
-// Ablation: incremental engine (FreqTable moves + dirty-cluster
-// refresh + O(1) objective) vs the batch oracle (full
-// RecomputeCentroids + full Cost every pass) on the same run. Cost is
-// computed per iteration here, unlike the other ablations: the
-// objective pass is part of what the engine removes.
+// Ablation: the incremental engine (FreqTable moves + dirty-cluster
+// refresh + O(1) objective) with cost computed per iteration, unlike
+// the other ablations: the objective pass is part of what the engine
+// removes.
 func BenchmarkAblationEngineIncremental(b *testing.B) {
 	runAblOpts(b, core.Options{}, true)
-}
-
-func BenchmarkAblationEngineBatch(b *testing.B) {
-	runAblOpts(b, core.Options{DisableIncremental: true}, true)
 }
 
 // Ablation: tie-breaking policy.
@@ -185,15 +180,14 @@ func BenchmarkAblationTieBreakLowestIndex(b *testing.B) {
 
 // ---- active-set assignment pass ----
 
-// benchActiveFilter times full accelerated runs with and without the
+// BenchmarkActiveFilterOn times full accelerated runs with the
 // active-set filter on the ablation workload, whose random seeding
 // yields several passes of sparse-tail iterations — the regime the
 // filter targets (late passes re-evaluate only the items whose cluster
-// neighbourhood changed). Assignments are bit-identical across the
-// pair; only the work differs. The reported active_frac_last metric is
-// the final pass's evaluated fraction — the acceptance criterion is
-// that it sits at or below 0.10 for the filtered run.
-func benchActiveFilter(b *testing.B, disable bool) {
+// neighbourhood changed). The reported active_frac_last metric is the
+// final pass's evaluated fraction — the acceptance criterion is that
+// it sits at or below 0.10.
+func BenchmarkActiveFilterOn(b *testing.B) {
 	ds := ablWorkload(b)
 	var lastFrac float64
 	b.ReportAllocs()
@@ -208,10 +202,9 @@ func benchActiveFilter(b *testing.B, disable bool) {
 			b.Fatal(err)
 		}
 		res, err := core.Run(space, core.Options{
-			Accelerator:         accel,
-			SkipCost:            true,
-			MaxIterations:       12,
-			DisableActiveFilter: disable,
+			Accelerator:   accel,
+			SkipCost:      true,
+			MaxIterations: 12,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -221,9 +214,6 @@ func benchActiveFilter(b *testing.B, disable bool) {
 	}
 	b.ReportMetric(lastFrac, "active_frac_last")
 }
-
-func BenchmarkActiveFilterOff(b *testing.B) { benchActiveFilter(b, true) }
-func BenchmarkActiveFilterOn(b *testing.B)  { benchActiveFilter(b, false) }
 
 // benchShortlists measures shortlist construction for every item on
 // the frozen index: the per-item Candidates path versus the batched
@@ -460,13 +450,12 @@ func BenchmarkBootstrapSigningMemoized(b *testing.B) { benchBootstrapSigning(b, 
 
 // benchBootstrapPipeline times the bootstrap phase of a full-scan
 // accelerated run on the 100k signing workload — the regime where
-// bootstrap dominates end-to-end cost. serial=true runs the per-item
-// sign+insert oracle (DisableParallelBootstrap); otherwise the
-// sign → build → assign pipeline runs at the given worker count.
-// Results are bit-identical across all variants (enforced by the
-// equivalence tests); only the bootstrap cost differs, reported as
-// bootstrap_ms with its per-phase split.
-func benchBootstrapPipeline(b *testing.B, workers int, serial bool) {
+// bootstrap dominates end-to-end cost: the sign → build → assign
+// pipeline at the given worker count. Results are bit-identical across
+// worker counts (enforced by the equivalence tests); only the
+// bootstrap cost differs, reported as bootstrap_ms with its per-phase
+// split.
+func benchBootstrapPipeline(b *testing.B, workers int) {
 	const k = 1000
 	ds := signWorkload(b)
 	var boot, sign, build, assign time.Duration
@@ -482,12 +471,11 @@ func benchBootstrapPipeline(b *testing.B, workers int, serial bool) {
 			b.Fatal(err)
 		}
 		res, err := core.Run(space, core.Options{
-			Accelerator:              accel,
-			SkipCost:                 true,
-			MaxIterations:            1,
-			Workers:                  workers,
-			Update:                   core.UpdateDeferred,
-			DisableParallelBootstrap: serial,
+			Accelerator:   accel,
+			SkipCost:      true,
+			MaxIterations: 1,
+			Workers:       workers,
+			Update:        core.UpdateDeferred,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -504,9 +492,8 @@ func benchBootstrapPipeline(b *testing.B, workers int, serial bool) {
 	b.ReportMetric(float64(assign.Milliseconds())/n, "assign_ms")
 }
 
-func BenchmarkBootstrapSerialOracle(b *testing.B) { benchBootstrapPipeline(b, 1, true) }
-func BenchmarkBootstrapPipeline1(b *testing.B)    { benchBootstrapPipeline(b, 1, false) }
-func BenchmarkBootstrapPipeline4(b *testing.B)    { benchBootstrapPipeline(b, 4, false) }
+func BenchmarkBootstrapPipeline1(b *testing.B) { benchBootstrapPipeline(b, 1) }
+func BenchmarkBootstrapPipeline4(b *testing.B) { benchBootstrapPipeline(b, 4) }
 
 // ---- item-sharded index ----
 
@@ -566,12 +553,13 @@ func BenchmarkShardedRun4(b *testing.B) { benchShardedRun(b, 4) }
 
 // benchForeignSlots is the cross-shard fan-out A/B at S=4 on the 100k
 // workload: materialised foreign-slot arrays (direct loads) vs the
-// key-probe oracle (DisableForeignSlots). Assignments are bit-identical
+// key-probe path (a one-byte ForeignSlotBudget, which no foreign-slot
+// array fits). Assignments are bit-identical
 // across the pair — only the fan-out mechanism differs — so iter_ms
 // isolates the probe tax the arrays remove. foreignslot_kb reports the
 // materialised footprint (0 for the probe run), probe_frac the fraction
 // of cross-shard resolutions that fell back to key probing.
-func benchForeignSlots(b *testing.B, disable bool) {
+func benchForeignSlots(b *testing.B, budget int64) {
 	const k = 1000
 	ds := signWorkload(b)
 	var merge, iter time.Duration
@@ -589,13 +577,13 @@ func benchForeignSlots(b *testing.B, disable bool) {
 			b.Fatal(err)
 		}
 		res, err := core.Run(space, core.Options{
-			Accelerator:         accel,
-			SkipCost:            true,
-			MaxIterations:       4,
-			Workers:             4,
-			Update:              core.UpdateDeferred,
-			Shards:              4,
-			DisableForeignSlots: disable,
+			Accelerator:       accel,
+			SkipCost:          true,
+			MaxIterations:     4,
+			Workers:           4,
+			Update:            core.UpdateDeferred,
+			Shards:            4,
+			ForeignSlotBudget: budget,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -620,8 +608,8 @@ func benchForeignSlots(b *testing.B, disable bool) {
 	}
 }
 
-func BenchmarkAblationForeignSlotsOff(b *testing.B) { benchForeignSlots(b, true) }
-func BenchmarkAblationForeignSlotsOn(b *testing.B)  { benchForeignSlots(b, false) }
+func BenchmarkAblationForeignSlotsOff(b *testing.B) { benchForeignSlots(b, 1) }
+func BenchmarkAblationForeignSlotsOn(b *testing.B)  { benchForeignSlots(b, 0) }
 
 // ---- locality-preserving item reordering ----
 

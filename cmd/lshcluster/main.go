@@ -59,16 +59,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	statsCSV := fs.String("stats", "", "write per-iteration statistics CSV to this file")
 	workers := fs.Int("workers", 1, "parallel assignment workers (forces deferred updates)")
 	shards := fs.Int("shards", 1, "item-partitioned LSH index shards (1 = unsharded oracle; results are identical for every value)")
-	foreignBudget := fs.Int64("foreign-slot-budget", 0, "byte budget for materialised cross-shard fan-out arrays (0 = 64 MiB default, negative = unlimited; over budget the index keeps key probing)")
-	noForeign := fs.Bool("no-foreign-slots", false, "keep cross-shard fan-out on the key-probe path (A/B baseline; results are identical)")
+	foreignBudget := fs.Int64("foreign-slot-budget", 0, "byte budget for materialised cross-shard fan-out arrays (0 = 64 MiB default, negative = unlimited; over budget the index keeps key probing, so 1 pins the probe path; results are identical)")
 	scalarKernels := fs.Bool("scalar-kernels", false, "use scalar reference distance kernels instead of the unrolled ones (A/B baseline; results are identical)")
 	seeded := fs.Bool("seeded-bootstrap", false, "use the seeded-index bootstrap instead of a full first pass")
 	abandon := fs.Bool("early-abandon", false, "enable early-abandon distance evaluation")
 	lowestTie := fs.Bool("lowest-index-ties", false, "break distance ties to the lowest cluster index (numpy-style)")
-	noIncremental := fs.Bool("no-incremental", false, "recompute centroids and cost from scratch each pass instead of incrementally (A/B baseline; results are identical; implies -no-active-filter)")
-	noActive := fs.Bool("no-active-filter", false, "evaluate every item each pass instead of only the active set (A/B baseline; results are identical)")
-	noParallelBoot := fs.Bool("no-parallel-bootstrap", false, "run the serial per-item bootstrap instead of the parallel sign/build/assign pipeline (A/B baseline; results are identical)")
-	noImmediateBatch := fs.Bool("no-immediate-batching", false, "evaluate immediate-update passes item by item instead of in move-bounded blocks (A/B baseline; results are identical)")
 	noReorder := fs.Bool("no-reorder", false, "build the LSH index in original item order instead of the locality-preserving permutation (A/B baseline; results are identical)")
 	chaosSpec := fs.String("chaos-spec", "", "route cross-shard queries through fault-injecting backends with this spec (e.g. \"seed=1;err=0.05;shard2.dead\"); empty spec = direct fan-out, zero-fault spec (\"seed=1\") = resilient path, bit-identical results")
 	retryBudget := fs.Int("retry-budget", 0, "retries after a failed shard-backend call (0 = default, negative = none; needs -chaos-spec)")
@@ -158,26 +153,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	opts := core.Options{
-		MaxIterations:            *maxIter,
-		EarlyAbandon:             *abandon,
-		Workers:                  *workers,
-		Shards:                   *shards,
-		ForeignSlotBudget:        *foreignBudget,
-		DisableForeignSlots:      *noForeign,
-		ScalarKernels:            *scalarKernels,
-		DisableIncremental:       *noIncremental,
-		DisableActiveFilter:      *noActive,
-		DisableParallelBootstrap: *noParallelBoot,
-		DisableImmediateBatching: *noImmediateBatch,
-		DisableReorder:           *noReorder,
-		IndexDir:                 indexDir,
-		DisableMmap:              !*mmapIndex,
-		ShardMemoryBudget:        *memBudget,
-		SnapshotEvery:            *snapshotEvery,
-		ChaosSpec:                *chaosSpec,
-		RetryBudget:              *retryBudget,
-		HedgeAfter:               *hedgeAfter,
-		DisableHedging:           *noHedging,
+		MaxIterations:     *maxIter,
+		EarlyAbandon:      *abandon,
+		Workers:           *workers,
+		Shards:            *shards,
+		ForeignSlotBudget: *foreignBudget,
+		ScalarKernels:     *scalarKernels,
+		DisableReorder:    *noReorder,
+		IndexDir:          indexDir,
+		DisableMmap:       !*mmapIndex,
+		ShardMemoryBudget: *memBudget,
+		SnapshotEvery:     *snapshotEvery,
+		ChaosSpec:         *chaosSpec,
+		RetryBudget:       *retryBudget,
+		HedgeAfter:        *hedgeAfter,
+		DisableHedging:    *noHedging,
 		OnIteration: func(it runstats.Iteration) {
 			fmt.Fprintf(stderr, "lshcluster: iter %d: %v, %d moves, avg shortlist %.2f\n",
 				it.Index, it.Duration.Round(it.Duration/100+1), it.Moves, it.AvgShortlist)

@@ -131,20 +131,17 @@ func TestClusterInitMethods(t *testing.T) {
 	}
 }
 
-// TestClusterBootstrapModes runs the parallel bootstrap pipeline and
-// its serial oracle on the same input and checks identical assignments
+// TestClusterBootstrapModes runs the parallel bootstrap pipeline at
+// two worker counts on the same input and checks identical assignments
 // plus the per-phase bootstrap report.
 func TestClusterBootstrapModes(t *testing.T) {
 	in := writeWorkload(t)
 	dir := t.TempDir()
 	assigns := map[string]string{}
-	for _, mode := range []string{"parallel", "serial"} {
+	for _, mode := range []string{"2", "4"} {
 		args := []string{"-in", in, "-k", "10", "-bands", "10", "-rows", "2",
-			"-workers", "2", "-seed", "3"}
+			"-workers", mode, "-seed", "3"}
 		out := filepath.Join(dir, mode+".csv")
-		if mode == "serial" {
-			args = append(args, "-no-parallel-bootstrap")
-		}
 		args = append(args, "-assign", out)
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err != nil {
@@ -160,7 +157,7 @@ func TestClusterBootstrapModes(t *testing.T) {
 		}
 		assigns[mode] = string(b)
 	}
-	if assigns["parallel"] != assigns["serial"] {
-		t.Fatal("parallel and serial bootstrap produced different assignments")
+	if assigns["2"] != assigns["4"] {
+		t.Fatal("bootstrap at 2 and 4 workers produced different assignments")
 	}
 }

@@ -46,8 +46,9 @@
 //     clusters whose membership changed have their centroids refreshed
 //     at the end of each pass. The per-iteration objective is maintained
 //     incrementally too. The incremental path is exact — bit-identical
-//     assignments, centroids and costs versus the full-recompute batch
-//     path, which is retained as a correctness oracle.
+//     assignments, centroids and costs versus the full-recompute
+//     batch path of the reference driver (internal/reference), which
+//     the equivalence tests check it against.
 //
 //   - The MinHash banding index serves iteration from a frozen layout:
 //     flat CSR arrays (offsets + item IDs, with per-item bucket slots
@@ -68,9 +69,9 @@
 //     bands, each band an independent shard owning a contiguous
 //     bucket-ID range (the groundwork for multi-shard serving); and
 //     the exact first assignment shards items like any parallel pass.
-//     Results are bit-identical to the serial per-item bootstrap,
-//     which Config.DisableParallelBootstrap retains as the
-//     correctness oracle; per-phase timings land in
+//     Results are bit-identical to the serial per-item bootstrap of
+//     the reference driver (internal/reference), the correctness
+//     oracle the equivalence tests use; per-phase timings land in
 //     Run.BootstrapSign/BootstrapBuild/BootstrapAssign and the stats
 //     CSV.
 //
@@ -90,18 +91,19 @@
 //     changed clusters after each pass and a reverse-collision view
 //     over the frozen index expands them into the next pass's active
 //     set; late sparse passes typically evaluate a few percent of the
-//     items. Results are bit-identical to the full pass, which
-//     Config.DisableActiveFilter retains as the correctness oracle.
+//     items. Results are bit-identical to the full passes of the
+//     reference driver (internal/reference).
 //
-//   - Snapshot-view passes (deferred updates, parallel workers) gather
+//   - The driver has one pass per update mode. The deferred pass
+//     (deferred updates, parallel workers, exact runs) gathers
 //     candidate shortlists for blocks of items in one band-major sweep
-//     of the frozen index, amortising cache misses and per-item
-//     dispatch across the block. Immediate-update passes batch the
-//     same way with blocks cut at move boundaries: positions decided
-//     before a move saw exactly the live view the per-item loop would
-//     have shown them, and positions after a move are discarded and
-//     re-gathered, so results stay bit-identical to the per-item
-//     oracle (Config.DisableImmediateBatching).
+//     of the frozen index against the pass-start snapshot, amortising
+//     cache misses and per-item dispatch across the block. The
+//     immediate pass batches the same way with blocks cut at move
+//     boundaries: positions decided before a move saw exactly the live
+//     view an item-by-item loop would have shown them, and positions
+//     after a move are discarded and re-gathered, so results stay
+//     bit-identical to the reference driver's per-item loop.
 //
 // # Item-sharded index
 //
@@ -155,8 +157,8 @@
 // is gated on a byte budget (Config.ForeignSlotBudget; 0 means the
 // 64 MiB default, negative means unlimited): over budget, the index
 // falls back transparently to probing the other shards' key tables per
-// band, the original mechanism, which Config.DisableForeignSlots
-// retains as the bit-identical correctness oracle. Both mechanisms
+// band, the original mechanism (a budget of 1 byte pins it, the
+// bit-identical correctness oracle for the arrays). Both mechanisms
 // enumerate the same buckets in the same order; only the lookup cost
 // differs. Run.ForeignSlotBytes reports the materialised footprint and
 // Run.CrossShardProbes/CrossShardDirect split the resolutions by
@@ -221,8 +223,8 @@
 //
 // BootstrapSeeded now does what it describes: after the k seeds are
 // indexed, every other item queries the growing index with its own
-// band keys (presigned, or signed on the spot on the serial oracle
-// path) before being inserted, falling back to an exact scan only when
+// band keys (presigned, or signed on the spot on the reference
+// driver's serial path) before being inserted, falling back to an exact scan only when
 // the shortlist is genuinely empty. Earlier versions queried through
 // the inserted-items-only path, so every non-seed shortlist came back
 // empty and the exact fallback always ran; seeded-bootstrap

@@ -18,6 +18,11 @@
 // It also flags the reverse rot: an oracle-named field on the facade
 // Config with no counterpart on core.Options.
 //
+// Finally, the plain reference driver (internal/reference) that the
+// equivalence tests compare every optimisation against must stay a
+// test-only oracle: any import of it from a non-_test.go file is
+// reported, so it cannot quietly become a second production path.
+//
 // The analyzer is whole-program: the invariant ties four parts of the
 // tree together and cannot be checked one package at a time.
 package oraclecheck
@@ -37,7 +42,7 @@ const Name = "oraclecheck"
 // Analyzer is the oraclecheck instance.
 var Analyzer = &analysis.Analyzer{
 	Name:         Name,
-	Doc:          "every Disable*/ScalarKernels oracle toggle on core.Options must reach the facade Config, a CLI flag and a test",
+	Doc:          "every Disable*/ScalarKernels oracle toggle on core.Options must reach the facade Config, a CLI flag and a test; internal/reference is imported by tests only",
 	Run:          run,
 	WholeProgram: true,
 }
@@ -45,6 +50,10 @@ var Analyzer = &analysis.Analyzer{
 // CorePackage is the import-path suffix of the package declaring
 // Options.
 const CorePackage = "internal/core"
+
+// ReferencePackage is the import-path suffix of the test-only reference
+// driver.
+const ReferencePackage = "internal/reference"
 
 // isOracleField reports whether an exported field name is an oracle
 // toggle.
@@ -61,6 +70,7 @@ type reach struct {
 
 func run(pass *analysis.Pass) error {
 	prog := pass.Prog
+	reportReferenceImports(pass)
 	core := findCore(prog)
 	if core == nil {
 		// Fixture or tree without a core package: nothing to enforce.
@@ -167,6 +177,25 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
+}
+
+// reportReferenceImports flags every import of the reference driver
+// from a file that is not a _test.go file.
+func reportReferenceImports(pass *analysis.Pass) {
+	for _, pkg := range pass.Prog.Pkgs {
+		for _, file := range pkg.Files {
+			if pass.Prog.IsTestFile(file.Pos()) {
+				continue
+			}
+			for _, imp := range file.Imports {
+				path := strings.Trim(imp.Path.Value, `"`)
+				if analysis.HasPathSuffix(path, ReferencePackage) {
+					pass.Reportf(imp.Pos(),
+						"production file imports %s; the reference driver is a test-only oracle", path)
+				}
+			}
+		}
+	}
 }
 
 // findCore returns the source-checked core package (the non-xtest

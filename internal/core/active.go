@@ -22,7 +22,7 @@ package core
 // colliding items become the next pass's active set; everything else is
 // skipped. Skipping never changes results: the active pass is
 // bit-identical to the full pass, enforced by equivalence tests against
-// the Options.DisableActiveFilter oracle.
+// the full-pass reference driver (internal/reference).
 //
 // Under UpdateImmediate the shortlist view is live, so a move made
 // mid-pass additionally activates the mover's colliding items within
@@ -38,8 +38,7 @@ const (
 	queryBlockLen = 64
 
 	// ctxPollEvery bounds cancellation latency inside an assignment
-	// pass: every worker (and the serial loops) polls Options.Context
-	// after this many items.
+	// pass: every worker polls Options.Context after this many items.
 	ctxPollEvery = 1024
 
 	// activeAllPct caps the filter's bookkeeping: when the prospective
@@ -52,13 +51,13 @@ const (
 // BlockQuerier is an optional Querier capability: queriers that can
 // compute the shortlists of a whole block of items in one batched index
 // sweep (amortising cache misses across the block; see
-// lsh.Index.CandidatesBatch) implement it. The driver uses it for
-// snapshot-view passes — serial deferred and parallel — where a block's
-// shortlists are independent of the moves decided inside the block,
-// and for the immediate-update pass, which cuts blocks at move
-// boundaries: the moment an item moves, the remaining positions'
-// shortlists are discarded and re-gathered against the updated live
-// view (see driver.immediateBlockPass).
+// lsh.Index.CandidatesBatch) implement it. The driver uses it for the
+// deferred pass, where a block's shortlists are independent of the
+// moves decided inside the block, and for the immediate-update pass,
+// which cuts blocks at move boundaries: the moment an item moves, the
+// remaining positions' shortlists are discarded and re-gathered
+// against the updated live view (see driver.immediatePass). Queriers
+// without the capability are adapted item by item.
 type BlockQuerier interface {
 	Querier
 	// CandidatesBlock computes Candidates(items[pos], assign) for every
@@ -111,8 +110,7 @@ func revDegraded(rv ReverseView) bool {
 type activeState struct {
 	// enabled reports whether filtering is on for this run: an
 	// accelerated run with the incremental engine, a ChangeReporter
-	// space and a ReverseQuerier accelerator, minus the
-	// DisableActiveFilter oracle switch.
+	// space and a ReverseQuerier accelerator.
 	enabled bool
 	// allPass forces the current pass to evaluate every item (the
 	// first pass after bootstrap, and any pass whose prospective
@@ -122,7 +120,7 @@ type activeState struct {
 	// !allPass). Immediate-mode moves set additional flags mid-pass.
 	cur []bool
 	// curList is the current pass's active items in ascending order —
-	// what deferred serial and parallel passes iterate and partition.
+	// what the deferred pass partitions across its workers.
 	curList []int32
 	// next accumulates the following pass's flags between passes.
 	next []bool
@@ -145,7 +143,7 @@ type activeState struct {
 // and the incremental engine is initialised; the first pass always runs
 // full (bootstrap recomputed every centroid).
 func (d *driver) initActive() {
-	if d.opts.DisableActiveFilter || d.opts.Accelerator == nil || d.inc == nil {
+	if d.opts.Accelerator == nil || d.inc == nil {
 		return
 	}
 	chg, ok := d.space.(ChangeReporter)

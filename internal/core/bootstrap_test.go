@@ -16,53 +16,6 @@ import (
 	"lshcluster/internal/core"
 )
 
-// assertBootstrapEqual runs the same configuration twice — once with
-// the parallel sign → build → assign bootstrap pipeline (the default),
-// once with DisableParallelBootstrap (the serial per-item oracle) —
-// and asserts bit-identical outcomes: assignments, per-iteration moves
-// and costs, convergence, and the final centroids (via the
-// caller-provided fingerprint of the space the run mutated).
-func assertBootstrapEqual(t *testing.T, mk func() (core.Space, core.Accelerator), fingerprint func(core.Space) []byte, opts core.Options) {
-	t.Helper()
-	run := func(disable bool) (*core.Result, []byte) {
-		o := opts
-		o.DisableParallelBootstrap = disable
-		space, accel := mk()
-		o.Accelerator = accel
-		res, err := core.Run(space, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, fingerprint(space)
-	}
-	par, parCentroids := run(false)
-	ser, serCentroids := run(true)
-	for i := range par.Assign {
-		if par.Assign[i] != ser.Assign[i] {
-			t.Fatalf("assign[%d]: parallel %d, serial %d", i, par.Assign[i], ser.Assign[i])
-		}
-	}
-	if par.Stats.Converged != ser.Stats.Converged {
-		t.Fatalf("converged: parallel %v, serial %v", par.Stats.Converged, ser.Stats.Converged)
-	}
-	if len(par.Stats.Iterations) != len(ser.Stats.Iterations) {
-		t.Fatalf("iterations: parallel %d, serial %d",
-			len(par.Stats.Iterations), len(ser.Stats.Iterations))
-	}
-	for i := range par.Stats.Iterations {
-		a, b := par.Stats.Iterations[i], ser.Stats.Iterations[i]
-		if a.Moves != b.Moves {
-			t.Fatalf("iteration %d moves: parallel %d, serial %d", i+1, a.Moves, b.Moves)
-		}
-		if a.Cost != b.Cost {
-			t.Fatalf("iteration %d cost: parallel %v, serial %v", i+1, a.Cost, b.Cost)
-		}
-	}
-	if !bytes.Equal(parCentroids, serCentroids) {
-		t.Fatal("final centroids differ between parallel and serial bootstrap")
-	}
-}
-
 func bootstrapWorkload(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.Config{
@@ -88,7 +41,10 @@ func kmodesFingerprint(t *testing.T) func(core.Space) []byte {
 // TestParallelBootstrapMatchesSerialKModes is the headline equivalence
 // matrix: MinHash-accelerated K-Modes across bootstrap modes, update
 // modes and worker counts (including workers=1, where the pipeline
-// still takes the presign + direct-to-frozen path).
+// still takes the presign + direct-to-frozen path), each checked
+// against the reference driver's serial per-item Insert bootstrap:
+// assignments, per-iteration moves and costs, convergence, full-pass
+// work counters and the final centroids.
 func TestParallelBootstrapMatchesSerialKModes(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -110,7 +66,7 @@ func TestParallelBootstrapMatchesSerialKModes(t *testing.T) {
 				}
 				name := fmt.Sprintf("boot=%d/upd=%d/w=%d", boot, upd, workers)
 				t.Run(name, func(t *testing.T) {
-					assertBootstrapEqual(t, mk, kmodesFingerprint(t), core.Options{
+					assertMatchesReference(t, mk, kmodesFingerprint(t), core.Options{
 						Bootstrap: boot, Update: upd, Workers: workers,
 						MaxIterations: 15,
 					})
@@ -151,7 +107,7 @@ func TestParallelBootstrapMatchesSerialKMeans(t *testing.T) {
 	for _, boot := range []core.BootstrapMode{core.BootstrapFullScan, core.BootstrapSeeded} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("boot=%d/w=%d", boot, workers), func(t *testing.T) {
-				assertBootstrapEqual(t, mk, fingerprint, core.Options{
+				assertMatchesReference(t, mk, fingerprint, core.Options{
 					Bootstrap: boot, Update: core.UpdateDeferred, Workers: workers,
 					MaxIterations: 15,
 				})
@@ -162,7 +118,7 @@ func TestParallelBootstrapMatchesSerialKMeans(t *testing.T) {
 
 // TestParallelBootstrapExactScan covers the non-accelerated run: the
 // bootstrap full scan shards across workers and must stay
-// bit-identical to the serial scan.
+// bit-identical to the reference driver's serial scan.
 func TestParallelBootstrapExactScan(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -172,54 +128,42 @@ func TestParallelBootstrapExactScan(t *testing.T) {
 		}
 		return s, nil
 	}
-	assertBootstrapEqual(t, mk, kmodesFingerprint(t), core.Options{
+	assertMatchesReference(t, mk, kmodesFingerprint(t), core.Options{
 		Workers: 4, MaxIterations: 10,
 	})
 }
 
 // TestBootstrapPhaseTimings checks the per-phase bootstrap split is
-// recorded: the pipeline path reports a non-zero signing phase, every
-// path reports a non-zero assignment phase, and the phases never
-// exceed the bootstrap total.
+// recorded: the pipeline reports non-zero signing, build and
+// assignment phases, and the phases never exceed the bootstrap total.
 func TestBootstrapPhaseTimings(t *testing.T) {
 	ds := bootstrapWorkload(t)
-	run := func(disable bool) *core.Result {
-		s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.Run(s, core.Options{
-			Accelerator: a, Workers: 2, Update: core.UpdateDeferred,
-			MaxIterations: 3, DisableParallelBootstrap: disable,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, disable := range []bool{false, true} {
-		res := run(disable)
-		st := res.Stats
-		if disable {
-			if st.BootstrapSign != 0 {
-				t.Fatalf("serial oracle reported a signing phase: %v", st.BootstrapSign)
-			}
-		} else if st.BootstrapSign <= 0 {
-			t.Fatal("pipeline reported no signing phase")
-		}
-		if st.BootstrapBuild <= 0 {
-			t.Fatalf("disable=%v: no build phase recorded", disable)
-		}
-		if st.BootstrapAssign <= 0 {
-			t.Fatalf("disable=%v: no assignment phase recorded", disable)
-		}
-		if sum := st.BootstrapSign + st.BootstrapBuild + st.BootstrapAssign; sum > st.Bootstrap {
-			t.Fatalf("disable=%v: phase sum %v exceeds bootstrap %v", disable, sum, st.Bootstrap)
-		}
+	a, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(s, core.Options{
+		Accelerator: a, Workers: 2, Update: core.UpdateDeferred, MaxIterations: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.BootstrapSign <= 0 {
+		t.Fatal("pipeline reported no signing phase")
+	}
+	if st.BootstrapBuild <= 0 {
+		t.Fatal("no build phase recorded")
+	}
+	if st.BootstrapAssign <= 0 {
+		t.Fatal("no assignment phase recorded")
+	}
+	if sum := st.BootstrapSign + st.BootstrapBuild + st.BootstrapAssign; sum > st.Bootstrap {
+		t.Fatalf("phase sum %v exceeds bootstrap %v", sum, st.Bootstrap)
 	}
 }
 

@@ -6,9 +6,9 @@ package core
 // driver then runs the bootstrap as an explicit sign → build → assign
 // pipeline instead of the serial per-item Insert loop (see
 // driver.bootstrap). Results are bit-identical either way — signing is
-// deterministic per item and filing order is preserved — with the
-// serial loop retained as the equivalence oracle behind
-// Options.DisableParallelBootstrap.
+// deterministic per item and filing order is preserved — which the
+// equivalence tests check against the per-item Insert loop of the
+// reference driver (internal/reference).
 //
 // Call sequences the driver uses:
 //

@@ -132,12 +132,12 @@ const (
 	// keys, before its insertion, via the accelerator's
 	// UnindexedQuerier capability — falling back to an exact scan when
 	// its shortlist is empty, and indexed immediately after. Both
-	// built-in accelerators implement the capability (the serial oracle
-	// signs the item on the spot; the presigned pipeline reuses the
-	// SignAll arena — identical keys, so the paths stay bit-identical).
+	// built-in accelerators implement the capability (after per-item
+	// Insert it signs the item on the spot; the presigned pipeline
+	// reuses the SignAll arena — identical keys, so the paths stay
+	// bit-identical).
 	// An accelerator without the capability degrades to the historical
-	// behaviour, where Querier.Candidates answers only for indexed
-	// items, every non-seed shortlist is empty and the exact-scan
+	// behaviour: every non-seed shortlist is empty and the exact-scan
 	// fallback always runs.
 	BootstrapSeeded
 )
@@ -225,12 +225,6 @@ type Options struct {
 	// the probe path — results are identical either way. Ignored
 	// without a ForeignSlotConfigurer accelerator or with Shards < 2.
 	ForeignSlotBudget int64
-	// DisableForeignSlots keeps the cross-shard fan-out on the
-	// key-table probe path even when the foreign-slot arrays would fit
-	// the budget. The probe path is the correctness oracle for the
-	// materialised arrays; this switch exists for equivalence tests and
-	// A/B benchmarks.
-	DisableForeignSlots bool
 	// ScalarKernels routes the hot-loop distance and signing kernels
 	// through their scalar references instead of the unrolled versions
 	// (internal/kernel), on every KernelConfigurable space and
@@ -238,38 +232,6 @@ type Options struct {
 	// the correctness oracle for the kernels and exists for equivalence
 	// tests and A/B benchmarks.
 	ScalarKernels bool
-	// DisableIncremental forces full RecomputeCentroids/Cost passes
-	// even when the Space implements IncrementalSpace. The batch path
-	// is the correctness oracle for the incremental engine; this switch
-	// exists for equivalence tests and A/B benchmarks. It implies
-	// DisableActiveFilter (the filter needs the engine's change
-	// reports).
-	DisableIncremental bool
-	// DisableActiveFilter forces every assignment pass to evaluate all
-	// n items even when the run qualifies for active-set filtering
-	// (accelerated, incremental engine on, ChangeReporter space,
-	// ReverseQuerier accelerator — see active.go). The full pass is
-	// the correctness oracle for the filter; this switch exists for
-	// equivalence tests and A/B benchmarks.
-	DisableActiveFilter bool
-	// DisableParallelBootstrap forces the serial bootstrap: the
-	// single-threaded first assignment and the per-item sign+insert
-	// loop, even when Workers > 1 or the accelerator implements
-	// BulkIndexer. By default the bootstrap runs as a parallel
-	// sign → build → assign pipeline (bit-identical results); the
-	// serial loop is the correctness oracle for that pipeline, and
-	// this switch exists for equivalence tests and A/B benchmarks.
-	DisableParallelBootstrap bool
-	// DisableImmediateBatching forces the immediate-update assignment
-	// pass to its per-item loop even when the querier supports block
-	// queries. By default the immediate pass gathers shortlists in
-	// blocks cut at move boundaries — every position decided before a
-	// move uses exactly the live view the per-item loop would have
-	// seen, and positions after a move are discarded and re-queried —
-	// so results are bit-identical; the per-item loop is the
-	// correctness oracle, and this switch exists for equivalence tests
-	// and A/B benchmarks.
-	DisableImmediateBatching bool
 	// DisableReorder forces the sharded index to build in original item
 	// order even when the accelerator supports locality-preserving
 	// reordering (ReorderConfigurer). By default the bulk frozen build
@@ -402,10 +364,8 @@ func Run(space Space, opts Options) (*Result, error) {
 		}(),
 	}
 
-	if !opts.DisableIncremental {
-		if inc, ok := space.(IncrementalSpace); ok {
-			d.inc = inc
-		}
+	if inc, ok := space.(IncrementalSpace); ok {
+		d.inc = inc
 	}
 
 	// Kernel selection must precede every distance and signature
@@ -435,6 +395,7 @@ func Run(space Space, opts Options) (*Result, error) {
 		f.Freeze()
 		d.bootBuild += time.Since(freezeStart)
 	}
+	d.querier = d.newQuerier()
 	// Resume point: a checkpointed assignment must be restored before
 	// the incremental engine initialises its centroid accumulators from
 	// it. The active filter starts its first pass full either way, so a
@@ -559,14 +520,18 @@ func ctxErr(ctx context.Context) error {
 
 // driver carries the mutable state of one Run.
 type driver struct {
-	space   Space
-	opts    Options
-	n, k    int
-	assign  []int32
-	querier Querier
-	// inc is non-nil when the space implements IncrementalSpace and the
-	// incremental engine is enabled; passes then feed it moves instead
-	// of relying on full centroid recomputation.
+	space  Space
+	opts   Options
+	n, k   int
+	assign []int32
+	// querier serves the immediate pass and the inline (Workers ≤ 1)
+	// deferred pass; parallel deferred passes take one fresh querier
+	// per worker. allK is the exact runs' shared all-cluster querier.
+	querier BlockQuerier
+	allK    allClusters
+	// inc is non-nil when the space implements IncrementalSpace; passes
+	// then feed it moves instead of relying on full centroid
+	// recomputation.
 	inc IncrementalSpace
 	// snapshot holds the pass-start assignment under UpdateDeferred.
 	snapshot []int32
@@ -587,6 +552,9 @@ type driver struct {
 	inv       []int32
 	assignInt []int32
 	moveSort  []moveRec
+	// moveLogs holds each deferred-pass worker's moves until the join
+	// (reused across passes).
+	moveLogs [][]moveRec
 	// bootSign/bootBuild/bootAssign split the bootstrap wall time into
 	// its signing, index-construction and first-assignment phases
 	// (runstats.Run.Bootstrap* — see those fields for which phases stay
@@ -645,15 +613,15 @@ func (d *driver) bestWithDegraded(dq DegradedQuerier, item, cur int, shortlist [
 // bootstrap produces the initial assignment and, for accelerated runs,
 // the index.
 //
-// With a BulkIndexer accelerator (and unless DisableParallelBootstrap
-// selects the serial oracle), it runs as an explicit pipeline whose
+// With a BulkIndexer accelerator it runs as an explicit pipeline whose
 // phases are individually parallel and individually timed: sign every
 // item into a flat key arena across Workers goroutines, build the
 // index from the keys (direct to the frozen layout for the full-scan
 // mode; the serial presigned interleave for the seeded mode, whose
 // query/insert ordering is semantically load-bearing), then the exact
 // first assignment, itself sharded across Workers. Every phase is
-// bit-identical to its serial counterpart.
+// bit-identical to the serial per-item loop of internal/reference.
+// Accelerators without the capability are indexed by per-item Insert.
 func (d *driver) bootstrap() error {
 	accel := d.opts.Accelerator
 	workers := d.opts.Workers
@@ -666,10 +634,9 @@ func (d *driver) bootstrap() error {
 	// ctxPollEvery items, and each pipeline phase ends with a
 	// cancellation check, keeping latency a fraction of the bootstrap.
 	stop := func() bool { return ctxErr(d.opts.Context) != nil }
-	serialOracle := d.opts.DisableParallelBootstrap
 	if accel == nil {
 		start := time.Now()
-		d.bootstrapScan(workers, !serialOracle)
+		d.bootstrapScan(workers)
 		d.bootAssign = time.Since(start)
 		return ctxErr(d.opts.Context)
 	}
@@ -681,7 +648,7 @@ func (d *driver) bootstrap() error {
 		si.SetShards(shards)
 	}
 	if fc, ok := accel.(ForeignSlotConfigurer); ok {
-		fc.SetForeignSlots(d.opts.ForeignSlotBudget, d.opts.DisableForeignSlots)
+		fc.SetForeignSlots(d.opts.ForeignSlotBudget)
 	}
 	if ro, ok := accel.(ReorderConfigurer); ok {
 		ro.SetReorder(d.opts.DisableReorder)
@@ -710,9 +677,6 @@ func (d *driver) bootstrap() error {
 		return fmt.Errorf("core: resetting accelerator: %w", err)
 	}
 	bulk, _ := accel.(BulkIndexer)
-	if serialOracle {
-		bulk = nil
-	}
 	switch d.opts.Bootstrap {
 	case BootstrapFullScan:
 		if bulk != nil {
@@ -750,7 +714,7 @@ func (d *driver) bootstrap() error {
 			break
 		}
 		start := time.Now()
-		d.bootstrapScan(workers, !serialOracle)
+		d.bootstrapScan(workers)
 		d.bootAssign = time.Since(start)
 		if err := ctxErr(d.opts.Context); err != nil {
 			return err
@@ -810,13 +774,9 @@ func (d *driver) bootstrap() error {
 		// (UnindexedQuerier) so non-seed items genuinely consult what
 		// has been indexed so far; a Querier.Candidates call would
 		// answer only for already-inserted items and always come back
-		// empty. Accelerators without the capability keep the legacy
-		// empty-shortlist interleave.
+		// empty. Accelerators without the capability get that empty
+		// shortlist, so every non-seed item takes the exact scan.
 		uq, _ := accel.(UnindexedQuerier)
-		var q Querier
-		if uq == nil {
-			q = accel.NewQuerier()
-		}
 		poll := 0
 		for i := 0; i < d.n; i++ {
 			if isSeed[i] {
@@ -831,14 +791,9 @@ func (d *driver) bootstrap() error {
 			var shortlist []int32
 			if uq != nil {
 				shortlist = uq.CandidatesUnindexed(int32(i), d.assign)
-			} else {
-				shortlist = q.Candidates(int32(i), d.assign)
 			}
-			if len(shortlist) == 0 {
-				d.fullScanRange(i, i+1, d.assign, nil)
-			} else {
-				d.assign[i] = d.bestOf(i, -1, shortlist, nil)
-			}
+			// An empty shortlist falls back to an exact scan (bestOf).
+			d.assign[i] = d.bestOf(i, -1, shortlist, nil)
 			if err := insert(int32(i)); err != nil {
 				return fmt.Errorf("core: indexing item %d: %w", i, err)
 			}
@@ -847,13 +802,13 @@ func (d *driver) bootstrap() error {
 	default:
 		return fmt.Errorf("core: unknown bootstrap mode %d", d.opts.Bootstrap)
 	}
-	d.querier = accel.NewQuerier()
 	// A reordered index emits candidates in internal-ID space, so the
 	// iteration passes need an internal-ID mirror of the assignment for
 	// their query views. The bootstrap itself never queries a reordered
 	// index with an assignment view (the bulk path's first assignment
-	// is the exact scan; the seeded and serial paths build in original
-	// order), so initialising the mirror once here is sufficient.
+	// is the exact scan; the seeded and per-item Insert paths build in
+	// original order), so initialising the mirror once here is
+	// sufficient.
 	if rm, ok := accel.(ReorderMapper); ok {
 		if perm, inv := rm.ReorderMap(); perm != nil {
 			d.perm, d.inv = perm, inv
@@ -888,34 +843,23 @@ func (d *driver) setAssign(i int, c int32) {
 // Options.Context each ctxPollEvery items and stops early on
 // cancellation; the caller returns the context error, discarding the
 // partial assignment with the run.
-func (d *driver) bootstrapScan(workers int, parallel bool) {
-	if !parallel {
-		workers = 1
-	}
+func (d *driver) bootstrapScan(workers int) {
 	par.Ranges(d.n, workers, func(lo, hi int) {
 		for next := lo; next < hi; {
 			end := next + ctxPollEvery
 			if end > hi {
 				end = hi
 			}
-			d.fullScanRange(next, end, d.assign, nil)
+			//lshvet:ignore ctxpollcheck one ctxPollEvery-item chunk; the enclosing loop polls after it
+			for i := next; i < end; i++ {
+				d.assign[i] = int32(d.bestExact(i, -1, nil))
+			}
 			next = end
 			if ctxErr(d.opts.Context) != nil {
 				return
 			}
 		}
 	})
-}
-
-// fullScanRange exactly assigns items in [lo, hi) by scanning all k
-// centroids, writing into out. Counters, when non-nil, receive the
-// comparison count.
-func (d *driver) fullScanRange(lo, hi int, out []int32, comps *int64) {
-	for i := lo; i < hi; i++ {
-		cur := int(out[i]) // -1 during bootstrap
-		best := d.bestExact(i, cur, comps)
-		out[i] = int32(best)
-	}
 }
 
 // bestExact returns the closest cluster to item over all k clusters.
@@ -962,10 +906,8 @@ func (d *driver) bestExact(item, cur int, comps *int64) int {
 // With neither a current cluster nor any candidate there is nothing to
 // compare against; rather than silently electing cluster 0 (or −1
 // under lowest-index ties), bestOf falls back to an exact scan over
-// all k clusters. No current call site reaches this — every bootstrap
-// path either supplies cur ≥ 0 or checks for an empty shortlist first
-// — but a future bootstrap mode that forgets the check mis-assigns
-// silently without it.
+// all k clusters — the seeded bootstrap's answer for an item that
+// collides with nothing indexed yet.
 func (d *driver) bestOf(item, cur int, candidates []int32, comps *int64) int32 {
 	if cur < 0 && len(candidates) == 0 {
 		return int32(d.bestExact(item, cur, comps))
@@ -1036,11 +978,11 @@ func (d *driver) bestOfLowestIndex(item, cur int, candidates []int32, comps *int
 	return bestC
 }
 
-// pass runs one assignment pass.
+// pass runs one assignment pass: the immediate pass for accelerated
+// runs under UpdateImmediate, the deferred pass otherwise. Exact runs
+// take the deferred pass too — their all-k querier reads no view, and
+// with frozen centroids no decision depends on another item's move.
 func (d *driver) pass() passStats {
-	if d.opts.Accelerator == nil {
-		return d.exactPass()
-	}
 	// A reordered index emits candidates as internal IDs, so query
 	// views must be indexed in internal space; setAssign keeps the
 	// mirror coherent with d.assign, which stays the original-ID
@@ -1049,58 +991,85 @@ func (d *driver) pass() passStats {
 	if d.perm != nil {
 		src = d.assignInt
 	}
-	view := src
-	if d.opts.Update == UpdateDeferred {
-		d.snapshot = append(d.snapshot[:0], src...)
-		view = d.snapshot
+	if d.opts.Accelerator != nil && d.opts.Update == UpdateImmediate {
+		return d.immediatePass(src)
 	}
-	if d.opts.Workers > 1 && d.opts.Update == UpdateDeferred {
-		return d.parallelPass(view)
-	}
-	if d.opts.Update == UpdateDeferred {
-		if bq, ok := d.querier.(BlockQuerier); ok {
-			return d.serialBlockPass(bq, view)
-		}
-	}
-	if d.opts.Update == UpdateImmediate && !d.opts.DisableImmediateBatching {
-		if bq, ok := d.querier.(BlockQuerier); ok {
-			return d.immediateBlockPass(bq)
-		}
-	}
-	return d.serialPass(view)
+	d.snapshot = append(d.snapshot[:0], src...)
+	return d.deferredPass(d.snapshot)
 }
 
-// immediateBlockPass is the single-threaded immediate-update pass over
-// a block-capable querier: shortlists are gathered queryBlockLen items
-// at a time against the *live* assignment, and blocks are cut at move
+// newQuerier returns a block-capable query handle with private
+// scratch: the all-k querier for exact runs, the accelerator's own
+// querier otherwise, adapted per item when it lacks CandidatesBlock.
+func (d *driver) newQuerier() BlockQuerier {
+	if d.opts.Accelerator == nil {
+		if d.allK == nil {
+			d.allK = make(allClusters, d.k)
+			for c := range d.allK {
+				d.allK[c] = int32(c)
+			}
+		}
+		return d.allK
+	}
+	q := d.opts.Accelerator.NewQuerier()
+	if bq, ok := q.(BlockQuerier); ok {
+		return bq
+	}
+	return itemBlocks{q}
+}
+
+// allClusters is the exact algorithm as a querier: every item's
+// shortlist is all k clusters, in ascending order. bestOf over it
+// picks the cluster bestExact would and counts the same k
+// comparisons, under both tie-breaks. Read-only, so shared by workers.
+type allClusters []int32
+
+func (a allClusters) Candidates(int32, []int32) []int32 { return a }
+
+func (a allClusters) CandidatesBlock(items, _ []int32, emit func(pos int, shortlist []int32)) {
+	for pos := range items {
+		emit(pos, a)
+	}
+}
+
+// itemBlocks adapts a Querier without CandidatesBlock to BlockQuerier
+// by querying item by item. Each shortlist is computed when emitted,
+// so a move made in an earlier emit is visible to later positions —
+// harmless, since the immediate pass discards a block's positions after
+// a move and the deferred pass reads an immutable snapshot. It does
+// not forward DegradedQuerier: the only degrading querier, the
+// IndexQuerier behind Options.ChaosSpec, has CandidatesBlock.
+type itemBlocks struct{ Querier }
+
+func (q itemBlocks) CandidatesBlock(items, assign []int32, emit func(pos int, shortlist []int32)) {
+	for pos, it := range items {
+		emit(pos, q.Candidates(it, assign))
+	}
+}
+
+// immediatePass is the single-threaded immediate-update pass (the
+// paper's Algorithm 2): shortlists are gathered queryBlockLen items at
+// a time against the *live* assignment, and blocks are cut at move
 // boundaries so the live view stays correct. Every shortlist in a
 // block is computed against the assignment as of the block's start;
-// positions decided before the first move saw exactly the state the
-// per-item loop would have shown them (no move happened since the
+// positions decided before the first move saw exactly the state an
+// item-by-item loop would have shown them (no move happened since the
 // block began), and the mover's own shortlist predates its move. The
 // moment an item moves, the rest of the block is discarded — those
 // positions re-gather from the item after the mover, observing the
-// move and any active-set flags it raised, exactly like the per-item
-// loop. Late sparse passes move almost nothing, so most blocks
-// complete whole and the pass keeps the batched sweep's cache wins;
-// Options.DisableImmediateBatching retains the per-item loop as the
-// bit-identical oracle.
-func (d *driver) immediateBlockPass(bq BlockQuerier) (ps passStats) {
+// move and any active-set flags it raised. Late sparse passes move
+// almost nothing, so most blocks complete whole and the pass keeps the
+// batched sweep's cache wins.
+func (d *driver) immediatePass(live []int32) (ps passStats) {
 	filtered := d.filtered()
+	bq := d.querier
 	dq, _ := bq.(DegradedQuerier)
-	// The live view the block queries read: the internal-ID mirror on a
-	// reordered index (kept current by setAssign below), d.assign
-	// otherwise.
-	live := d.assign
-	if d.perm != nil {
-		live = d.assignInt
-	}
 	var buf [queryBlockLen]int32
 	poll := 0
 	for next := 0; next < d.n; {
 		// Gather the next block, reading active flags live: flags set by
-		// an earlier move in this pass are honoured exactly as the
-		// per-item loop's cursor would honour them.
+		// an earlier move in this pass are honoured exactly as an
+		// item-by-item cursor would honour them.
 		blk := buf[:0]
 		i := next
 		for ; i < d.n && len(blk) < queryBlockLen; i++ {
@@ -1130,8 +1099,14 @@ func (d *driver) immediateBlockPass(bq BlockQuerier) (ps passStats) {
 			best := d.bestWithDegraded(dq, it, int(cur), shortlist, &ps)
 			ps.evaluated++
 			if best != cur {
+				// The write below *is* the paper's "update the cluster
+				// reference in the MinHash index": buckets store item IDs
+				// and queries map them through this slice.
 				d.setAssign(it, best)
 				if d.inc != nil {
+					// Visible centroids stay frozen until FinishPass, so
+					// folding the move in now cannot perturb later
+					// decisions in the pass.
 					d.inc.ApplyMove(it, cur, best)
 				}
 				ps.moves++
@@ -1146,241 +1121,64 @@ func (d *driver) immediateBlockPass(bq BlockQuerier) (ps passStats) {
 	return ps
 }
 
-// serialPass is the single-threaded per-item pass: the immediate-mode
-// oracle (DisableImmediateBatching, or a querier without block
-// support), and the deferred fallback for queriers without block
-// support. A filtered pass walks the full index range but only
-// evaluates flagged items — the O(n) flag scan is noise next to a
-// single shortlist query, and it picks up the flags immediate-mode
-// moves set ahead of the cursor.
-func (d *driver) serialPass(view []int32) (ps passStats) {
-	q := d.querier
-	filtered := d.filtered()
-	dq, _ := q.(DegradedQuerier)
-	poll := 0
-	for i := 0; i < d.n; i++ {
-		if filtered && !d.act.cur[i] {
-			continue
-		}
-		if poll++; poll >= ctxPollEvery {
-			poll = 0
-			if ctxErr(d.opts.Context) != nil {
-				break
-			}
-		}
-		cur := d.assign[i]
-		shortlist := q.Candidates(int32(i), view)
-		ps.cands += int64(len(shortlist))
-		best := d.bestWithDegraded(dq, i, int(cur), shortlist, &ps)
-		ps.evaluated++
-		if best != cur {
-			// The write below *is* the paper's "update the cluster
-			// reference in the MinHash index": buckets store item IDs
-			// and queries map them through this slice.
-			d.setAssign(i, best)
-			if d.inc != nil {
-				// Immediate mode: fold the move in as it happens.
-				// Visible centroids stay frozen until FinishPass, so
-				// this cannot perturb later decisions in the pass.
-				d.inc.ApplyMove(i, cur, best)
-			}
-			ps.moves++
-			d.noteMove(i)
-		}
-	}
-	return ps
-}
-
-// serialBlockPass is the single-threaded deferred pass over a
-// block-capable querier: shortlists are gathered queryBlockLen items at
-// a time against the snapshot, so the index sweep amortises cache
-// misses. Moves decided inside a block cannot affect the block's other
-// shortlists — that is exactly the deferred-update semantics. On a
-// reordered index the unfiltered sweep walks items in ascending
-// *internal* order (see sweepItem) and the moves are re-sorted into
-// ascending original order before the incremental space folds them —
-// deferred decisions are order-independent, so only the fold order had
-// to be preserved.
-func (d *driver) serialBlockPass(bq BlockQuerier, view []int32) (ps passStats) {
-	filtered := d.filtered()
-	var buf [queryBlockLen]int32
-	var log *[]moveRec
-	if d.perm != nil && d.inc != nil {
-		d.moveSort = d.moveSort[:0]
-		log = &d.moveSort
-	}
-	next, poll := 0, 0
-	for {
-		blk := buf[:0]
-		if filtered {
-			for next < len(d.act.curList) && len(blk) < queryBlockLen {
-				blk = append(blk, d.act.curList[next])
-				next++
-			}
-		} else {
-			for next < d.n && len(blk) < queryBlockLen {
-				blk = append(blk, d.sweepItem(next))
-				next++
-			}
-		}
-		if len(blk) == 0 {
-			break
-		}
-		if poll += len(blk); poll >= ctxPollEvery {
-			poll = 0
-			if ctxErr(d.opts.Context) != nil {
-				break
-			}
-		}
-		d.evalBlock(bq, blk, view, &ps, log)
-	}
-	if log != nil {
-		d.applyMovesOriginalOrder(*log)
-	}
-	return ps
-}
-
-// sweepItem maps an unfiltered deferred-pass cursor position to the
-// item evaluated there: position = item on an original-order index,
-// and the position'th item of the *internal* order on a reordered one,
-// so consecutive positions touch consecutive internal IDs and the
-// sweep streams the permuted arena the way it was built. Every item is
-// still evaluated exactly once per pass, decisions read only the
-// snapshot view, and move side effects are re-ordered where they are
-// order-sensitive (applyMovesOriginalOrder), so results are
-// bit-identical to the original-order sweep.
-func (d *driver) sweepItem(pos int) int32 {
-	if d.perm != nil {
-		return d.inv[pos]
-	}
-	return int32(pos)
-}
-
-// applyMovesOriginalOrder folds a deferred pass's collected moves into
-// the incremental space in ascending original-item order — the order
-// the original-order serial pass applies them in. Sorting is what
-// makes the internal-order sweep invisible: K-Means' running sums are
-// floating-point accumulators, so the fold order is part of the
-// bit-identity contract.
-func (d *driver) applyMovesOriginalOrder(moves []moveRec) {
-	slices.SortFunc(moves, func(a, b moveRec) int { return int(a.item) - int(b.item) })
-	for _, mv := range moves {
-		d.inc.ApplyMove(int(mv.item), mv.from, mv.to)
-	}
-}
-
-// evalBlock runs one batched shortlist query and evaluates every item
-// in the block. log, when non-nil, receives the moves instead of the
-// incremental engine — callers batch moves whenever the pass order is
-// not the apply order: parallel workers replay after the join, and
-// reordered serial sweeps re-sort to ascending original first. The
-// serial caller on an unreordered index passes nil and applies
-// immediately.
-func (d *driver) evalBlock(bq BlockQuerier, blk []int32, view []int32, ps *passStats, log *[]moveRec) {
-	dq, _ := bq.(DegradedQuerier)
-	bq.CandidatesBlock(blk, view, func(pos int, shortlist []int32) {
-		i := int(blk[pos])
-		cur := d.assign[i]
-		ps.cands += int64(len(shortlist))
-		best := d.bestWithDegraded(dq, i, int(cur), shortlist, ps)
-		ps.evaluated++
-		if best != cur {
-			d.setAssign(i, best)
-			if log != nil {
-				*log = append(*log, moveRec{int32(i), cur, best})
-			} else if d.inc != nil {
-				d.inc.ApplyMove(i, cur, best)
-			}
-			ps.moves++
-			d.noteMove(i)
-		}
-	})
-}
-
-func (d *driver) exactPass() (ps passStats) {
-	if d.opts.Workers > 1 {
-		return d.parallelExactPass()
-	}
-	poll := 0
-	for i := 0; i < d.n; i++ {
-		if poll++; poll >= ctxPollEvery {
-			poll = 0
-			if ctxErr(d.opts.Context) != nil {
-				break
-			}
-		}
-		cur := d.assign[i]
-		best := int32(d.bestExact(i, int(cur), &ps.comps))
-		ps.cands += int64(d.k)
-		ps.evaluated++
-		if best != cur {
-			d.assign[i] = best
-			if d.inc != nil {
-				d.inc.ApplyMove(i, cur, best)
-			}
-			ps.moves++
-		}
-	}
-	return ps
-}
-
-// segStats is one parallel worker's share of a pass.
-type segStats struct {
-	ps    passStats
-	moved []moveRec
-}
-
-// parallelPass splits the accelerated assignment across Workers
-// goroutines. Safe because queries read the immutable snapshot and each
-// item's assignment cell (and moved flag) is written by exactly one
-// worker. A filtered pass partitions the active list instead of the
-// index range, so workers stay balanced on the surviving work; both
-// partitions are contiguous and ascending, which applyMoveLogs relies
-// on.
-func (d *driver) parallelPass(view []int32) passStats {
-	w := d.opts.Workers
+// deferredPass evaluates every item (or, when filtered, every active
+// item) against the pass-start snapshot view, split into contiguous
+// ascending ranges across Workers goroutines — inline on the driver's
+// querier when Workers ≤ 1. Safe because queries read the immutable
+// snapshot and each item's assignment cell (and moved flag) is written
+// by exactly one worker. Moves are logged per worker and folded into
+// the incremental space after the join (applyMoveLogs), in ascending
+// original-item order.
+func (d *driver) deferredPass(view []int32) passStats {
+	w := max(d.opts.Workers, 1)
 	filtered := d.filtered()
 	total := d.n
 	if filtered {
 		total = len(d.act.curList)
 	}
-	res := make([]segStats, w)
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		lo := g * total / w
-		hi := (g + 1) * total / w
-		if lo == hi {
-			continue
+	for len(d.moveLogs) < w {
+		d.moveLogs = append(d.moveLogs, nil)
+	}
+	logs := d.moveLogs[:w]
+	for g := range logs {
+		logs[g] = logs[g][:0]
+	}
+	stats := make([]passStats, w)
+	run := func(g int, q BlockQuerier) {
+		var ps passStats // worker-local: keeps the hot counters off shared cache lines
+		d.workerBlocks(q, g*total/w, (g+1)*total/w, filtered, view, &ps, &logs[g])
+		stats[g] = ps
+	}
+	if w == 1 {
+		run(0, d.querier)
+	} else {
+		var wg sync.WaitGroup
+		for g := 0; g < w; g++ {
+			if g*total/w == (g+1)*total/w {
+				continue // empty range: no querier needed
+			}
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				run(g, d.newQuerier())
+			}(g)
 		}
-		wg.Add(1)
-		go func(g, lo, hi int) {
-			defer wg.Done()
-			q := d.opts.Accelerator.NewQuerier()
-			c := &res[g]
-			var log *[]moveRec
-			if d.inc != nil {
-				log = &c.moved
-			}
-			if bq, ok := q.(BlockQuerier); ok {
-				d.workerBlocks(bq, lo, hi, filtered, view, &c.ps, log)
-			} else {
-				d.workerItems(q, lo, hi, filtered, view, &c.ps, log)
-			}
-		}(g, lo, hi)
+		wg.Wait()
 	}
-	wg.Wait()
 	var ps passStats
-	for i := range res {
-		ps.add(res[i].ps)
+	for _, st := range stats {
+		ps.add(st)
 	}
-	d.applyMoveLogs(w, func(g int) []moveRec { return res[g].moved })
+	d.applyMoveLogs(logs)
 	return ps
 }
 
 // workerBlocks processes positions [lo, hi) of the worker's domain —
-// the active list when filtered, item IDs otherwise — in batched
-// blocks.
+// the active list when filtered, the sweep order (sweepItem) otherwise
+// — in batched blocks, logging moves into log when the incremental
+// engine is on.
 func (d *driver) workerBlocks(bq BlockQuerier, lo, hi int, filtered bool, view []int32, ps *passStats, log *[]moveRec) {
+	dq, _ := bq.(DegradedQuerier)
 	var buf [queryBlockLen]int32
 	poll := 0
 	for next := lo; next < hi; {
@@ -1399,109 +1197,66 @@ func (d *driver) workerBlocks(bq BlockQuerier, lo, hi int, filtered bool, view [
 				return
 			}
 		}
-		d.evalBlock(bq, blk, view, ps, log)
+		bq.CandidatesBlock(blk, view, func(pos int, shortlist []int32) {
+			i := int(blk[pos])
+			cur := d.assign[i]
+			ps.cands += int64(len(shortlist))
+			best := d.bestWithDegraded(dq, i, int(cur), shortlist, ps)
+			ps.evaluated++
+			if best != cur {
+				d.setAssign(i, best)
+				if d.inc != nil {
+					*log = append(*log, moveRec{int32(i), cur, best})
+				}
+				ps.moves++
+				d.noteMove(i)
+			}
+		})
 	}
 }
 
-// workerItems is the per-item worker loop for queriers without block
-// support.
-func (d *driver) workerItems(q Querier, lo, hi int, filtered bool, view []int32, ps *passStats, log *[]moveRec) {
-	dq, _ := q.(DegradedQuerier)
-	poll := 0
-	for pos := lo; pos < hi; pos++ {
-		i := pos
-		if filtered {
-			i = int(d.act.curList[pos])
-		}
-		if poll++; poll >= ctxPollEvery {
-			poll = 0
-			if ctxErr(d.opts.Context) != nil {
-				return
-			}
-		}
-		cur := d.assign[i]
-		shortlist := q.Candidates(int32(i), view)
-		ps.cands += int64(len(shortlist))
-		best := d.bestWithDegraded(dq, i, int(cur), shortlist, ps)
-		ps.evaluated++
-		if best != cur {
-			d.setAssign(i, best)
-			if log != nil {
-				*log = append(*log, moveRec{int32(i), cur, best})
-			}
-			ps.moves++
-			d.noteMove(i)
-		}
+// sweepItem maps an unfiltered deferred-pass cursor position to the
+// item evaluated there: position = item on an original-order index,
+// and the position'th item of the *internal* order on a reordered one,
+// so consecutive positions touch consecutive internal IDs and the
+// sweep streams the permuted arena the way it was built. Every item is
+// still evaluated exactly once per pass, decisions read only the
+// snapshot view, and move side effects are re-ordered where they are
+// order-sensitive (applyMoveLogs), so results are bit-identical to the
+// original-order sweep.
+func (d *driver) sweepItem(pos int) int32 {
+	if d.perm != nil {
+		return d.inv[pos]
 	}
+	return int32(pos)
 }
 
-// applyMoveLogs replays per-worker move batches into the incremental
-// space after a parallel pass joins. Worker domains are contiguous and
-// ascending, so replaying workers in order applies moves in ascending
-// item order — the same order the single-threaded pass uses. On a
-// reordered index the unfiltered block sweep walks internal order, so
-// the concatenated logs are re-sorted back into ascending original
-// order instead (applyMovesOriginalOrder).
-func (d *driver) applyMoveLogs(w int, log func(g int) []moveRec) {
+// applyMoveLogs folds a deferred pass's per-worker move logs into the
+// incremental space in ascending original-item order — the order an
+// item-by-item pass applies them in. K-Means' running sums are
+// floating-point accumulators, so the fold order is part of the
+// bit-identity contract. Worker domains are contiguous and ascending,
+// so on an original-order index replaying workers in order already is
+// ascending; on a reordered index the unfiltered sweep walks internal
+// order, so the concatenated logs are re-sorted first.
+func (d *driver) applyMoveLogs(logs [][]moveRec) {
 	if d.inc == nil {
 		return
 	}
 	if d.perm != nil {
 		d.moveSort = d.moveSort[:0]
-		for g := 0; g < w; g++ {
-			d.moveSort = append(d.moveSort, log(g)...)
+		for _, log := range logs {
+			d.moveSort = append(d.moveSort, log...)
 		}
-		d.applyMovesOriginalOrder(d.moveSort)
+		slices.SortFunc(d.moveSort, func(a, b moveRec) int { return int(a.item) - int(b.item) })
+		for _, mv := range d.moveSort {
+			d.inc.ApplyMove(int(mv.item), mv.from, mv.to)
+		}
 		return
 	}
-	for g := 0; g < w; g++ {
-		for _, mv := range log(g) {
+	for _, log := range logs {
+		for _, mv := range log {
 			d.inc.ApplyMove(int(mv.item), mv.from, mv.to)
 		}
 	}
-}
-
-func (d *driver) parallelExactPass() passStats {
-	w := d.opts.Workers
-	res := make([]segStats, w)
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		lo := g * d.n / w
-		hi := (g + 1) * d.n / w
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(g, lo, hi int) {
-			defer wg.Done()
-			c := &res[g]
-			poll := 0
-			for i := lo; i < hi; i++ {
-				if poll++; poll >= ctxPollEvery {
-					poll = 0
-					if ctxErr(d.opts.Context) != nil {
-						return
-					}
-				}
-				cur := d.assign[i]
-				best := int32(d.bestExact(i, int(cur), &c.ps.comps))
-				c.ps.cands += int64(d.k)
-				c.ps.evaluated++
-				if best != cur {
-					d.assign[i] = best
-					if d.inc != nil {
-						c.moved = append(c.moved, moveRec{int32(i), cur, best})
-					}
-					c.ps.moves++
-				}
-			}
-		}(g, lo, hi)
-	}
-	wg.Wait()
-	var ps passStats
-	for i := range res {
-		ps.add(res[i].ps)
-	}
-	d.applyMoveLogs(w, func(g int) []moveRec { return res[g].moved })
-	return ps
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -9,7 +9,10 @@ import (
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
 	"lshcluster/internal/metrics"
+	"lshcluster/internal/reference"
 	"lshcluster/internal/runstats"
+
+	"lshcluster/internal/core"
 )
 
 // testWorkload generates a separable synthetic workload plus a K-Modes
@@ -51,7 +54,7 @@ func purityOf(t *testing.T, ds *dataset.Dataset, assign []int32) float64 {
 
 func TestExactRunRecoversClusters(t *testing.T) {
 	ds, seeds := testWorkload(t, 400, 20, 24)
-	res, err := Run(newSpace(t, ds, seeds), Options{})
+	res, err := core.Run(newSpace(t, ds, seeds), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +78,15 @@ func TestExactRunRecoversClusters(t *testing.T) {
 func TestAcceleratedMatchesExactQuality(t *testing.T) {
 	ds, seeds := testWorkload(t, 400, 20, 24)
 
-	exact, err := Run(newSpace(t, ds, seeds), Options{})
+	exact, err := core.Run(newSpace(t, ds, seeds), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	accel, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 2}, 7)
+	accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 2}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mh, err := Run(newSpace(t, ds, seeds), Options{Accelerator: accel})
+	mh, err := core.Run(newSpace(t, ds, seeds), core.Options{Accelerator: accel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,38 +105,13 @@ func TestAcceleratedMatchesExactQuality(t *testing.T) {
 	}
 }
 
-// allClustersAccel is an Accelerator whose shortlist is always the full
-// cluster set: the accelerated driver must then replicate the exact
-// algorithm assignment-for-assignment.
-type allClustersAccel struct {
-	k   int
-	buf []int32
-}
-
-func (a *allClustersAccel) Reset(k int) error {
-	a.k = k
-	a.buf = make([]int32, k)
-	for i := range a.buf {
-		a.buf[i] = int32(i)
-	}
-	return nil
-}
-func (a *allClustersAccel) Insert(int32) error { return nil }
-func (a *allClustersAccel) NewQuerier() Querier {
-	return allQuerier{buf: a.buf}
-}
-
-type allQuerier struct{ buf []int32 }
-
-func (q allQuerier) Candidates(int32, []int32) []int32 { return q.buf }
-
 func TestFullShortlistEqualsExact(t *testing.T) {
 	ds, seeds := testWorkload(t, 300, 15, 20)
-	exact, err := Run(newSpace(t, ds, seeds), Options{})
+	exact, err := core.Run(newSpace(t, ds, seeds), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mh, err := Run(newSpace(t, ds, seeds), Options{Accelerator: &allClustersAccel{}})
+	mh, err := core.Run(newSpace(t, ds, seeds), core.Options{Accelerator: &reference.PerfectRecall{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +132,11 @@ func TestFullShortlistEqualsExact(t *testing.T) {
 
 func TestShortlistContainsCurrentCluster(t *testing.T) {
 	ds, seeds := testWorkload(t, 200, 10, 20)
-	accel, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 4, Rows: 4}, 3)
+	accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 4, Rows: 4}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(newSpace(t, ds, seeds), Options{Accelerator: accel, MaxIterations: 3})
+	res, err := core.Run(newSpace(t, ds, seeds), core.Options{Accelerator: accel, MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +168,13 @@ func TestShortlistContainsCurrentCluster(t *testing.T) {
 
 func TestDeferredUpdateConverges(t *testing.T) {
 	ds, seeds := testWorkload(t, 300, 15, 20)
-	accel, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 10, Rows: 2}, 5)
+	accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 10, Rows: 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(newSpace(t, ds, seeds), Options{
+	res, err := core.Run(newSpace(t, ds, seeds), core.Options{
 		Accelerator: accel,
-		Update:      UpdateDeferred,
+		Update:      core.UpdateDeferred,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,13 +190,13 @@ func TestDeferredUpdateConverges(t *testing.T) {
 func TestParallelDeferredMatchesSequentialDeferred(t *testing.T) {
 	ds, seeds := testWorkload(t, 300, 15, 20)
 	mk := func(workers int) []int32 {
-		accel, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 10, Rows: 2}, 5)
+		accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 10, Rows: 2}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(newSpace(t, ds, seeds), Options{
+		res, err := core.Run(newSpace(t, ds, seeds), core.Options{
 			Accelerator: accel,
-			Update:      UpdateDeferred,
+			Update:      core.UpdateDeferred,
 			Workers:     workers,
 		})
 		if err != nil {
@@ -237,11 +215,11 @@ func TestParallelDeferredMatchesSequentialDeferred(t *testing.T) {
 
 func TestParallelExactMatchesSequentialExact(t *testing.T) {
 	ds, seeds := testWorkload(t, 300, 15, 20)
-	seq, err := Run(newSpace(t, ds, seeds), Options{})
+	seq, err := core.Run(newSpace(t, ds, seeds), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(newSpace(t, ds, seeds), Options{Workers: 4})
+	par, err := core.Run(newSpace(t, ds, seeds), core.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,13 +232,13 @@ func TestParallelExactMatchesSequentialExact(t *testing.T) {
 
 func TestWorkersRequireDeferred(t *testing.T) {
 	ds, seeds := testWorkload(t, 100, 5, 20)
-	accel, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 5, Rows: 2}, 1)
+	accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 5, Rows: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(newSpace(t, ds, seeds), Options{
+	_, err = core.Run(newSpace(t, ds, seeds), core.Options{
 		Accelerator: accel,
-		Update:      UpdateImmediate,
+		Update:      core.UpdateImmediate,
 		Workers:     4,
 	})
 	if err == nil {
@@ -270,13 +248,13 @@ func TestWorkersRequireDeferred(t *testing.T) {
 
 func TestBootstrapSeeded(t *testing.T) {
 	ds, seeds := testWorkload(t, 300, 15, 20)
-	accel, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 2}, 9)
+	accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 20, Rows: 2}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(newSpace(t, ds, seeds), Options{
+	res, err := core.Run(newSpace(t, ds, seeds), core.Options{
 		Accelerator: accel,
-		Bootstrap:   BootstrapSeeded,
+		Bootstrap:   core.BootstrapSeeded,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,25 +271,25 @@ func (h hideSeeds) Seeds() {} // shadows kmodes.Space.Seeds with a non-conformin
 
 func TestBootstrapSeededRequiresSeeds(t *testing.T) {
 	ds, seeds := testWorkload(t, 100, 5, 20)
-	accel, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 5, Rows: 2}, 1)
+	accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 5, Rows: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(hideSeeds{newSpace(t, ds, seeds)}, Options{
+	_, err = core.Run(hideSeeds{newSpace(t, ds, seeds)}, core.Options{
 		Accelerator: accel,
-		Bootstrap:   BootstrapSeeded,
+		Bootstrap:   core.BootstrapSeeded,
 	})
 	if err == nil {
 		t.Fatal("expected error without seed items")
 	}
 	// Supplying SeedItems explicitly must fix it.
-	accel2, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 5, Rows: 2}, 1)
+	accel2, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 5, Rows: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(hideSeeds{newSpace(t, ds, seeds)}, Options{
+	_, err = core.Run(hideSeeds{newSpace(t, ds, seeds)}, core.Options{
 		Accelerator: accel2,
-		Bootstrap:   BootstrapSeeded,
+		Bootstrap:   core.BootstrapSeeded,
 		SeedItems:   seeds,
 	})
 	if err != nil {
@@ -321,7 +299,7 @@ func TestBootstrapSeededRequiresSeeds(t *testing.T) {
 
 func TestMaxIterationsCap(t *testing.T) {
 	ds, seeds := testWorkload(t, 300, 15, 20)
-	res, err := Run(newSpace(t, ds, seeds), Options{MaxIterations: 1})
+	res, err := core.Run(newSpace(t, ds, seeds), core.Options{MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +311,7 @@ func TestMaxIterationsCap(t *testing.T) {
 func TestOnIterationCallback(t *testing.T) {
 	ds, seeds := testWorkload(t, 200, 10, 20)
 	var seen []runstats.Iteration
-	res, err := Run(newSpace(t, ds, seeds), Options{
+	res, err := core.Run(newSpace(t, ds, seeds), core.Options{
 		OnIteration: func(it runstats.Iteration) { seen = append(seen, it) },
 	})
 	if err != nil {
@@ -352,7 +330,7 @@ func TestOnIterationCallback(t *testing.T) {
 
 func TestSkipCost(t *testing.T) {
 	ds, seeds := testWorkload(t, 100, 5, 20)
-	res, err := Run(newSpace(t, ds, seeds), Options{SkipCost: true, MaxIterations: 2})
+	res, err := core.Run(newSpace(t, ds, seeds), core.Options{SkipCost: true, MaxIterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +339,7 @@ func TestSkipCost(t *testing.T) {
 			t.Fatalf("cost tracked despite SkipCost: %v", it.Cost)
 		}
 	}
-	res2, err := Run(newSpace(t, ds, seeds), Options{MaxIterations: 2})
+	res2, err := core.Run(newSpace(t, ds, seeds), core.Options{MaxIterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +352,7 @@ func TestSkipCost(t *testing.T) {
 
 func TestCostMonotoneNonIncreasing(t *testing.T) {
 	ds, seeds := testWorkload(t, 400, 20, 24)
-	res, err := Run(newSpace(t, ds, seeds), Options{})
+	res, err := core.Run(newSpace(t, ds, seeds), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,14 +369,14 @@ func TestContextCancellation(t *testing.T) {
 	ds, seeds := testWorkload(t, 200, 10, 20)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(newSpace(t, ds, seeds), Options{Context: ctx}); err == nil {
+	if _, err := core.Run(newSpace(t, ds, seeds), core.Options{Context: ctx}); err == nil {
 		t.Fatal("expected cancellation error")
 	}
 	// Cancel mid-run via the iteration callback: unless the run happens
 	// to converge on its very first pass, the next pass must abort.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	calls := 0
-	_, err := Run(newSpace(t, ds, seeds), Options{
+	_, err := core.Run(newSpace(t, ds, seeds), core.Options{
 		Context:     ctx2,
 		OnIteration: func(runstats.Iteration) { calls++; cancel2() },
 	})
@@ -406,13 +384,13 @@ func TestContextCancellation(t *testing.T) {
 		t.Fatal("expected mid-run cancellation error")
 	}
 	// A background context is a no-op.
-	if _, err := Run(newSpace(t, ds, seeds), Options{Context: context.Background()}); err != nil {
+	if _, err := core.Run(newSpace(t, ds, seeds), core.Options{Context: context.Background()}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEmptySpaceRejected(t *testing.T) {
-	if _, err := Run(emptySpace{}, Options{}); err == nil {
+	if _, err := core.Run(emptySpace{}, core.Options{}); err == nil {
 		t.Fatal("expected error for empty space")
 	}
 }
@@ -428,11 +406,11 @@ func (emptySpace) Cost([]int32) float64                           { return 0 }
 
 func TestEarlyAbandonSameResult(t *testing.T) {
 	ds, seeds := testWorkload(t, 300, 15, 20)
-	plain, err := Run(newSpace(t, ds, seeds), Options{})
+	plain, err := core.Run(newSpace(t, ds, seeds), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(newSpace(t, ds, seeds), Options{EarlyAbandon: true})
+	fast, err := core.Run(newSpace(t, ds, seeds), core.Options{EarlyAbandon: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,10 +423,10 @@ func TestEarlyAbandonSameResult(t *testing.T) {
 
 func TestMinHashAcceleratorValidation(t *testing.T) {
 	ds, _ := testWorkload(t, 50, 5, 20)
-	if _, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 0, Rows: 1}, 1); err == nil {
+	if _, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 0, Rows: 1}, 1); err == nil {
 		t.Fatal("expected params validation error")
 	}
-	a, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 2, Rows: 2}, 1)
+	a, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 2, Rows: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,11 +440,11 @@ func TestMinHashAcceleratorValidation(t *testing.T) {
 
 func TestRunStatsAccounting(t *testing.T) {
 	ds, seeds := testWorkload(t, 200, 10, 20)
-	accel, err := NewMinHashAccelerator(ds, lsh.Params{Bands: 10, Rows: 2}, 2)
+	accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 10, Rows: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(newSpace(t, ds, seeds), Options{Accelerator: accel})
+	res, err := core.Run(newSpace(t, ds, seeds), core.Options{Accelerator: accel})
 	if err != nil {
 		t.Fatal(err)
 	}

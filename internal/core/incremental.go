@@ -14,9 +14,9 @@ package core
 //
 // the visible centroids (and IncrementalCost) must be bit-identical to
 // what RecomputeCentroids (and Cost) would produce on the same
-// assignments. The driver relies on this equivalence; it is what lets
-// accelerated runs keep the batch path as a correctness oracle (see
-// Options.DisableIncremental and the equivalence tests).
+// assignments. The driver relies on this equivalence; the equivalence
+// tests check it against the reference driver (internal/reference),
+// which recomputes centroids and cost in full every pass.
 //
 // Call sequence, enforced by the driver:
 //
@@ -82,7 +82,7 @@ type Freezer interface {
 }
 
 // moveRec is one recorded item move, applied to an IncrementalSpace
-// after a parallel pass joins (per-worker batching keeps ApplyMove
+// after a deferred pass joins (per-worker batching keeps ApplyMove
 // single-threaded without serialising the pass itself).
 type moveRec struct {
 	item     int32

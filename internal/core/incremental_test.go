@@ -14,52 +14,19 @@ import (
 	"lshcluster/internal/core"
 )
 
-// assertRunsEqual runs the same configuration twice — once with the
-// incremental engine, once with DisableIncremental (the batch oracle) —
-// and asserts bit-identical outcomes: assignments, per-iteration moves
-// and costs, and convergence.
+// assertRunsEqual checks the incremental engine (core.Run) against the
+// reference driver, which recomputes centroids and cost in full every
+// pass: assignments, per-iteration moves and costs (bit-identical, not
+// approximately equal), and convergence.
 func assertRunsEqual(t *testing.T, mkSpace func() core.Space, mkAccel func(core.Space) core.Accelerator, opts core.Options) {
 	t.Helper()
-	run := func(disable bool) *core.Result {
-		o := opts
-		o.DisableIncremental = disable
+	assertMatchesReference(t, func() (core.Space, core.Accelerator) {
 		space := mkSpace()
-		if mkAccel != nil {
-			o.Accelerator = mkAccel(space)
+		if mkAccel == nil {
+			return space, nil
 		}
-		res, err := core.Run(space, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	inc, batch := run(false), run(true)
-	if len(inc.Assign) != len(batch.Assign) {
-		t.Fatalf("assign lengths differ: %d vs %d", len(inc.Assign), len(batch.Assign))
-	}
-	for i := range inc.Assign {
-		if inc.Assign[i] != batch.Assign[i] {
-			t.Fatalf("assign[%d]: incremental %d, batch %d", i, inc.Assign[i], batch.Assign[i])
-		}
-	}
-	if inc.Stats.Converged != batch.Stats.Converged {
-		t.Fatalf("converged: incremental %v, batch %v", inc.Stats.Converged, batch.Stats.Converged)
-	}
-	if len(inc.Stats.Iterations) != len(batch.Stats.Iterations) {
-		t.Fatalf("iterations: incremental %d, batch %d",
-			len(inc.Stats.Iterations), len(batch.Stats.Iterations))
-	}
-	for i := range inc.Stats.Iterations {
-		a, b := inc.Stats.Iterations[i], batch.Stats.Iterations[i]
-		if a.Moves != b.Moves {
-			t.Fatalf("iteration %d moves: incremental %d, batch %d", i+1, a.Moves, b.Moves)
-		}
-		if !opts.SkipCost && a.Cost != b.Cost {
-			// Bit-identical, not approximately equal: the incremental
-			// objective must match the full Cost scan exactly.
-			t.Fatalf("iteration %d cost: incremental %v, batch %v", i+1, a.Cost, b.Cost)
-		}
-	}
+		return space, mkAccel(space)
+	}, nil, opts)
 }
 
 // kmodesMatrixWorkload is sized so that random seeding puts several

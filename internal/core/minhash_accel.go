@@ -138,8 +138,9 @@ func (a *MinHashAccelerator) SignAll(workers int, stop func() bool) error {
 // CandidatesUnindexed returns the candidate-cluster shortlist of a
 // not-yet-indexed item by querying the growing index with the item's
 // band keys (core.UnindexedQuerier): the presigned arena when SignAll
-// ran, a fresh signing otherwise (the serial bootstrap oracle). Serial
-// use only (shares signing and dedup scratch).
+// ran, a fresh signing otherwise (after per-item Insert, as the
+// reference driver bootstraps). Serial use only (shares signing and
+// dedup scratch).
 func (a *MinHashAccelerator) CandidatesUnindexed(item int32, assign []int32) []int32 {
 	return a.CandidatesUnindexedWith(item, assign, func(item int32) []uint64 {
 		a.setBuf = a.ds.PresentValues(int(item), a.setBuf[:0])

@@ -6,9 +6,64 @@ import (
 
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
+	"lshcluster/internal/reference"
 
 	"lshcluster/internal/core"
 )
+
+// assertMatchesReference runs opts through core.Run and through
+// reference.Run, each on a fresh space and accelerator from mk, and
+// requires identical results (reference.Diff: assignment, per-pass
+// moves and cost, convergence, and the work counters of every full
+// pass) and, when fingerprint is non-nil, identical final centroids.
+// It returns the production result.
+func assertMatchesReference(t *testing.T, mk func() (core.Space, core.Accelerator), fingerprint func(core.Space) []byte, opts core.Options) *core.Result {
+	t.Helper()
+	run := func(drive func(core.Space, core.Options) (*core.Result, error)) (*core.Result, string) {
+		space, accel := mk()
+		o := opts
+		o.Accelerator = accel
+		res, err := drive(space, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint == nil {
+			return res, ""
+		}
+		return res, string(fingerprint(space))
+	}
+	got, gotCentroids := run(core.Run)
+	want, wantCentroids := run(reference.Run)
+	if err := reference.Diff(got, want); err != nil {
+		t.Fatal(err)
+	}
+	if gotCentroids != wantCentroids {
+		t.Fatal("final centroids differ from the reference")
+	}
+	return got
+}
+
+// fullPassAccel hides the MinHash accelerator's reverse-collision view
+// (its NewReverse no longer satisfies core.ReverseQuerier), so the
+// active-set filter stays off and every pass evaluates every item.
+// Every other capability is promoted unchanged.
+type fullPassAccel struct{ *core.MinHashAccelerator }
+
+func (fullPassAccel) NewReverse() {}
+
+// perItemAccel hands out queriers without CandidatesBlock, so core
+// drives them through its per-item adapter.
+type perItemAccel struct{ *core.MinHashAccelerator }
+
+func (a perItemAccel) NewQuerier() core.Querier {
+	return perItemQuerier{a.MinHashAccelerator.NewQuerier()}
+}
+
+type perItemQuerier struct{ q core.Querier }
+
+func (p perItemQuerier) Candidates(item int32, assign []int32) []int32 {
+	return p.q.Candidates(item, assign)
+}
 
 // countingSeededAccel wraps the MinHash accelerator to observe the
 // seeded bootstrap's unindexed queries; embedding forwards every other
@@ -32,8 +87,8 @@ func (c *countingSeededAccel) CandidatesUnindexed(item int32, assign []int32) []
 // semantics: non-seed items query the growing index by their own band
 // keys, and on a collision-dense workload most of those shortlists are
 // non-empty — the exact-scan fallback no longer always runs. Covered
-// for both the presigned pipeline and the serial signing oracle (whose
-// equivalence the bootstrap tests enforce).
+// for both the presigned pipeline and the reference driver's serial
+// signing (whose equivalence the bootstrap tests enforce).
 func TestSeededBootstrapQueriesGrowingIndex(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	for _, serial := range []bool{false, true} {
@@ -47,11 +102,14 @@ func TestSeededBootstrapQueriesGrowingIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 			accel := &countingSeededAccel{MinHashAccelerator: inner}
-			_, err = core.Run(space, core.Options{
-				Accelerator:              accel,
-				Bootstrap:                core.BootstrapSeeded,
-				MaxIterations:            3,
-				DisableParallelBootstrap: serial,
+			drive := core.Run
+			if serial {
+				drive = reference.Run
+			}
+			_, err = drive(space, core.Options{
+				Accelerator:   accel,
+				Bootstrap:     core.BootstrapSeeded,
+				MaxIterations: 3,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -66,14 +124,54 @@ func TestSeededBootstrapQueriesGrowingIndex(t *testing.T) {
 	}
 }
 
-// TestImmediateBatchingMatchesPerItem is the equivalence oracle for
-// the move-bounded block pass: immediate-update runs with and without
-// DisableImmediateBatching must be bit-identical in assignments,
-// per-iteration moves, costs, evaluated counts, comparisons and
-// shortlist totals — across tie-break modes and the active-set filter.
+// TestImmediateBatchingMatchesPerItem is the equivalence check for
+// the move-bounded block pass: immediate-update runs must match the
+// reference driver's item-by-item loop in assignments, per-iteration
+// moves and costs, and — on full passes — evaluated counts,
+// comparisons and shortlist totals, across tie-break modes, with the
+// active-set filter on and off (noActive hides the reverse view, so
+// every pass is full and every work counter is compared).
 func TestImmediateBatchingMatchesPerItem(t *testing.T) {
 	ds := bootstrapWorkload(t)
-	run := func(tb core.TieBreak, noActive, disableBatch bool) *core.Result {
+	for _, tb := range []core.TieBreak{core.TieBreakPreferCurrent, core.TieBreakLowestIndex} {
+		for _, noActive := range []bool{false, true} {
+			t.Run(fmt.Sprintf("tb=%d/noActive=%v", tb, noActive), func(t *testing.T) {
+				mk := func() (core.Space, core.Accelerator) {
+					space, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
+					if err != nil {
+						t.Fatal(err)
+					}
+					accel, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if noActive {
+						return space, fullPassAccel{accel}
+					}
+					return space, accel
+				}
+				res := assertMatchesReference(t, mk, kmodesFingerprint(t), core.Options{
+					Update:        core.UpdateImmediate,
+					TieBreak:      tb,
+					MaxIterations: 15,
+				})
+				for i, it := range res.Stats.Iterations {
+					if noActive && it.SkippedItems != 0 {
+						t.Fatalf("pass %d skipped %d items without a reverse view", i+1, it.SkippedItems)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPerItemQuerierMatchesReference drives both pass kinds through
+// core's per-item adapter (a querier without CandidatesBlock): the
+// immediate pass, whose blocks are cut at moves, and the deferred pass
+// inline and across workers.
+func TestPerItemQuerierMatchesReference(t *testing.T) {
+	ds := bootstrapWorkload(t)
+	mk := func() (core.Space, core.Accelerator) {
 		space, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -82,51 +180,15 @@ func TestImmediateBatchingMatchesPerItem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Run(space, core.Options{
-			Accelerator:              accel,
-			Update:                   core.UpdateImmediate,
-			TieBreak:                 tb,
-			MaxIterations:            15,
-			DisableActiveFilter:      noActive,
-			DisableImmediateBatching: disableBatch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return space, perItemAccel{accel}
 	}
-	for _, tb := range []core.TieBreak{core.TieBreakPreferCurrent, core.TieBreakLowestIndex} {
-		for _, noActive := range []bool{false, true} {
-			t.Run(fmt.Sprintf("tb=%d/noActive=%v", tb, noActive), func(t *testing.T) {
-				blocked := run(tb, noActive, false)
-				oracle := run(tb, noActive, true)
-				for i := range oracle.Assign {
-					if oracle.Assign[i] != blocked.Assign[i] {
-						t.Fatalf("assign[%d]: blocked %d, per-item %d", i, blocked.Assign[i], oracle.Assign[i])
-					}
-				}
-				if blocked.Stats.Converged != oracle.Stats.Converged {
-					t.Fatalf("converged: blocked %v, per-item %v",
-						blocked.Stats.Converged, oracle.Stats.Converged)
-				}
-				if len(blocked.Stats.Iterations) != len(oracle.Stats.Iterations) {
-					t.Fatalf("iterations: blocked %d, per-item %d",
-						len(blocked.Stats.Iterations), len(oracle.Stats.Iterations))
-				}
-				for i := range oracle.Stats.Iterations {
-					a, b := oracle.Stats.Iterations[i], blocked.Stats.Iterations[i]
-					if a.Moves != b.Moves || a.Cost != b.Cost {
-						t.Fatalf("iteration %d: blocked moves=%d cost=%v, per-item moves=%d cost=%v",
-							i+1, b.Moves, b.Cost, a.Moves, a.Cost)
-					}
-					if a.ActiveItems != b.ActiveItems || a.Comparisons != b.Comparisons ||
-						a.CandidatesTotal != b.CandidatesTotal {
-						t.Fatalf("iteration %d work: blocked (eval %d, comps %d, cands %d), per-item (eval %d, comps %d, cands %d)",
-							i+1, b.ActiveItems, b.Comparisons, b.CandidatesTotal,
-							a.ActiveItems, a.Comparisons, a.CandidatesTotal)
-					}
-				}
-			})
-		}
+	for _, opts := range []core.Options{
+		{Update: core.UpdateImmediate, MaxIterations: 15},
+		{Update: core.UpdateDeferred, MaxIterations: 15},
+		{Update: core.UpdateDeferred, Workers: 4, Shards: 4, MaxIterations: 15},
+	} {
+		t.Run(fmt.Sprintf("upd=%d/w=%d", opts.Update, opts.Workers), func(t *testing.T) {
+			assertMatchesReference(t, mk, kmodesFingerprint(t), opts)
+		})
 	}
 }

@@ -103,14 +103,14 @@ func rawI64(s []int64) []byte {
 // overwrites it).
 func (d *driver) bootstrapAssign(workers int) error {
 	if d.opts.IndexDir == "" {
-		d.bootstrapScan(workers, true)
+		d.bootstrapScan(workers)
 		return ctxErr(d.opts.Context)
 	}
 	path := filepath.Join(d.opts.IndexDir, bootstrapAssignFile)
 	if d.restoreBootstrapAssign(path) {
 		return nil
 	}
-	d.bootstrapScan(workers, true)
+	d.bootstrapScan(workers)
 	if err := ctxErr(d.opts.Context); err != nil {
 		return err
 	}
@@ -260,9 +260,6 @@ func validatePersistOptions(opts *Options) error {
 	}
 	if opts.Bootstrap == BootstrapSeeded {
 		return fmt.Errorf("core: IndexDir is incompatible with BootstrapSeeded (the seeded query-before-insert interleave cannot be warm-started)")
-	}
-	if opts.DisableParallelBootstrap {
-		return fmt.Errorf("core: IndexDir requires the parallel bootstrap (drop DisableParallelBootstrap)")
 	}
 	if _, ok := opts.Accelerator.(BulkIndexer); !ok {
 		return fmt.Errorf("core: IndexDir requires a bulk-indexing accelerator")

@@ -12,6 +12,7 @@ import (
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
 	"lshcluster/internal/lsh/persist"
+	"lshcluster/internal/reference"
 	"lshcluster/internal/simhash"
 
 	"lshcluster/internal/core"
@@ -205,9 +206,9 @@ func TestPersistOptionValidation(t *testing.T) {
 		{"IndexDir with seeded bootstrap", func(o *core.Options) {
 			o.Bootstrap = core.BootstrapSeeded
 		}, "IndexDir"},
-		{"IndexDir with serial bootstrap", func(o *core.Options) {
-			o.DisableParallelBootstrap = true
-		}, "IndexDir"},
+		{"IndexDir without persistence support", func(o *core.Options) {
+			o.Accelerator = &reference.PerfectRecall{}
+		}, "persistence"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

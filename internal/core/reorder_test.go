@@ -153,33 +153,42 @@ func TestReorderInvarianceKMeans(t *testing.T) {
 }
 
 // TestReorderOracleCrosses pins the reorder oracle against the other
-// hot-path toggles it interacts with: the active filter off (full
-// passes query every item), immediate batching off (per-item live
-// queries), and the key-probe fan-out (foreign slots off). Every
-// combination must still match the DisableReorder oracle bit for bit.
+// hot-path variants it interacts with: no active-set filter (an
+// accelerator without the reverse view, so full passes query every
+// item), no immediate batching (a querier without CandidatesBlock, so
+// immediate passes query per item), and the key-probe fan-out (a
+// foreign-slot budget of one byte). Every combination must still match
+// the DisableReorder oracle bit for bit.
 func TestReorderOracleCrosses(t *testing.T) {
 	ds := bootstrapWorkload(t)
-	mk := func() (core.Space, core.Accelerator) {
-		s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, a
+	plain := func(a *core.MinHashAccelerator) core.Accelerator { return a }
+	cases := map[string]struct {
+		wrap   func(*core.MinHashAccelerator) core.Accelerator
+		budget int64
+	}{
+		"no-active-filter":      {wrap: func(a *core.MinHashAccelerator) core.Accelerator { return fullPassAccel{a} }},
+		"no-immediate-batching": {wrap: func(a *core.MinHashAccelerator) core.Accelerator { return perItemAccel{a} }},
+		"no-foreign-slots":      {wrap: plain, budget: 1},
 	}
-	muts := map[string]func(*core.Options){
-		"no-active-filter":      func(o *core.Options) { o.DisableActiveFilter = true },
-		"no-immediate-batching": func(o *core.Options) { o.DisableImmediateBatching = true },
-		"no-foreign-slots":      func(o *core.Options) { o.DisableForeignSlots = true },
-	}
-	for name, mut := range muts {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			opts := core.Options{Shards: 4, MaxIterations: 12}
-			mut(&opts)
-			assertReorderEqual(t, mk, kmodesFingerprint(t), opts)
+			mk := func() (core.Space, core.Accelerator) {
+				s, err := kmodes.NewSpace(ds, kmodes.Config{K: 30, Seed: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := core.NewMinHashAccelerator(ds, lsh.Params{Bands: 8, Rows: 4}, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s, tc.wrap(a)
+			}
+			res := assertReorderEqual(t, mk, kmodesFingerprint(t), core.Options{
+				Shards: 4, MaxIterations: 12, ForeignSlotBudget: tc.budget,
+			})
+			if tc.budget == 1 && res.Stats.ForeignSlotBytes != 0 {
+				t.Fatalf("one-byte budget still materialised %d foreign-slot bytes", res.Stats.ForeignSlotBytes)
+			}
 		})
 	}
 }

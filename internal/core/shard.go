@@ -41,9 +41,10 @@ type ShardedIndexer interface {
 // behaviour the mode describes — instead of the always-empty shortlist
 // a Querier.Candidates call on an un-inserted item yields. The result
 // follows Querier.Candidates semantics (deduplicated, assignment
-// entries < 0 skipped, valid until the next call); the serial oracle
-// and the presigned pipeline must produce identical shortlists, which
-// the bootstrap equivalence tests enforce.
+// entries < 0 skipped, valid until the next call); the per-item Insert
+// path (the reference driver's) and the presigned pipeline must
+// produce identical shortlists, which the bootstrap equivalence tests
+// enforce.
 type UnindexedQuerier interface {
 	CandidatesUnindexed(item int32, assign []int32) []int32
 }
@@ -51,17 +52,16 @@ type UnindexedQuerier interface {
 // ForeignSlotConfigurer is an optional Accelerator capability:
 // accelerators whose sharded index can materialise the cross-shard
 // foreign-slot arrays (lsh.Sharded.MaterializeForeignSlots) implement
-// it. The driver forwards Options.ForeignSlotBudget and
-// Options.DisableForeignSlots once per Run, before Reset; the index
-// materialises after its frozen layout is built, falling back to the
-// key-probe fan-out when disabled or over budget. Accelerators without
-// the capability simply keep probing.
+// it. The driver forwards Options.ForeignSlotBudget once per Run,
+// before Reset; the index materialises after its frozen layout is
+// built, falling back to the key-probe fan-out over budget (a budget
+// of 1 byte therefore pins the probe path). Accelerators without the
+// capability simply keep probing.
 type ForeignSlotConfigurer interface {
 	// SetForeignSlots configures foreign-slot materialisation for the
 	// next Reset: budget is the byte cap (0 = lsh.
-	// DefaultForeignSlotBudget, negative = unlimited), disable pins the
-	// probe-path oracle.
-	SetForeignSlots(budget int64, disable bool)
+	// DefaultForeignSlotBudget, negative = unlimited).
+	SetForeignSlots(budget int64)
 }
 
 // ReorderConfigurer is an optional Accelerator capability:
@@ -199,11 +199,10 @@ type ShardedIndexBase struct {
 	// (keys[item·Bands+band]); nil until then, released to the index by
 	// BuildFrozen and at Freeze.
 	presigned []uint64
-	// foreignBudget/foreignOff hold the foreign-slot configuration the
-	// driver forwarded (ForeignSlotConfigurer); materialisation runs
-	// once the frozen layout exists (BuildFrozen / Freeze).
+	// foreignBudget holds the foreign-slot budget the driver forwarded
+	// (ForeignSlotConfigurer); materialisation runs once the frozen
+	// layout exists (BuildFrozen / Freeze).
 	foreignBudget int64
-	foreignOff    bool
 	// reorderOff holds the locality-reordering configuration the driver
 	// forwarded (ReorderConfigurer); applied at the next ResetIndex.
 	reorderOff bool
@@ -241,19 +240,16 @@ func (b *ShardedIndexBase) SetShards(shards int) {
 
 // SetForeignSlots configures cross-shard foreign-slot materialisation
 // (core.ForeignSlotConfigurer): budget in bytes (0 = lsh.
-// DefaultForeignSlotBudget, negative = unlimited), disable pins the
-// key-probe oracle.
-func (b *ShardedIndexBase) SetForeignSlots(budget int64, disable bool) {
+// DefaultForeignSlotBudget, negative = unlimited).
+func (b *ShardedIndexBase) SetForeignSlots(budget int64) {
 	b.foreignBudget = budget
-	b.foreignOff = disable
 }
 
 // materializeForeign builds the cross-shard fan-out arrays once the
-// frozen layout exists, under the configured budget; a no-op when
-// disabled (and, inside the index, for single-shard, stride or
-// over-budget layouts).
+// frozen layout exists, under the configured budget; inside the index
+// a no-op for single-shard, stride or over-budget layouts.
 func (b *ShardedIndexBase) materializeForeign() {
-	if b.foreignOff || b.index == nil {
+	if b.index == nil {
 		return
 	}
 	budget := b.foreignBudget
@@ -398,12 +394,7 @@ func (b *ShardedIndexBase) ResetIndex(params lsh.Params, seed uint64, numItems, 
 	if shards < 1 {
 		shards = 1
 	}
-	// Release any previous index's memory mappings before dropping the
-	// reference (a no-op for heap-built indexes).
-	if b.index != nil {
-		_ = b.index.ClosePersist()
-	}
-	b.index = nil
+	_ = b.Close()
 	b.warm = false
 	b.saveDur, b.loadDur = 0, 0
 	// Locality reordering is incompatible with the backend fan-out
@@ -427,7 +418,6 @@ func (b *ShardedIndexBase) ResetIndex(params lsh.Params, seed uint64, numItems, 
 			Fingerprint:   b.fpSource(),
 			Mmap:          mmapWanted(b.persistCfg.DisableMmap),
 			MemoryBudget:  b.persistCfg.MemoryBudget,
-			SkipForeign:   b.foreignOff,
 			ForeignBudget: b.foreignBudget,
 			Workers:       b.persistCfg.Workers,
 		})
@@ -459,6 +449,19 @@ func (b *ShardedIndexBase) ResetIndex(params lsh.Params, seed uint64, numItems, 
 	b.selfQ = nil
 	b.presigned = nil
 	return nil
+}
+
+// Close releases the current index's memory mappings (a no-op for
+// heap-built indexes) and drops the index; the next ResetIndex builds
+// or loads a fresh one. Call it once the run using the index has
+// returned — no query may be in flight.
+func (b *ShardedIndexBase) Close() error {
+	if b.index == nil {
+		return nil
+	}
+	err := b.index.ClosePersist()
+	b.index = nil
+	return err
 }
 
 // SignAllInto computes every item's band keys into the presigned
@@ -508,8 +511,9 @@ func (b *ShardedIndexBase) InsertPresigned(item int32) error {
 
 // CandidatesUnindexedWith returns the candidate-cluster shortlist of a
 // not-yet-indexed item: by its presigned band keys when SignAllInto
-// ran, otherwise by the signature signNow produces on the spot (the
-// serial bootstrap oracle) — identical keys either way, so the two
+// ran, otherwise by the signature signNow produces on the spot (after
+// per-item Insert, as the reference driver bootstraps) — identical
+// keys either way, so the two
 // paths stay bit-identical. Serial use only (shares dedup scratch);
 // the embedding accelerator wraps it as CandidatesUnindexed with its
 // own signer.

@@ -8,6 +8,7 @@ import (
 	"lshcluster/internal/kmeans"
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
+	"lshcluster/internal/reference"
 	"lshcluster/internal/simhash"
 
 	"lshcluster/internal/core"
@@ -18,9 +19,10 @@ import (
 // asserts bit-identical outcomes: assignments, per-iteration moves and
 // costs, convergence, and final centroids. Each sharded count is
 // additionally run against its two hot-path oracles — the key-probe
-// fan-out (DisableForeignSlots, checking the materialised foreign-slot
-// arrays) and the scalar kernels (ScalarKernels, checking the unrolled
-// distance/signing loops) — which must also match the reference.
+// fan-out (a one-byte ForeignSlotBudget, checking the materialised
+// foreign-slot arrays) and the scalar kernels (ScalarKernels, checking
+// the unrolled distance/signing loops) — which must also match the
+// reference.
 func assertShardsEqual(t *testing.T, mk func() (core.Space, core.Accelerator), fingerprint func(core.Space) []byte, opts core.Options, shardCounts []int) {
 	t.Helper()
 	run := func(shards int, mut func(*core.Options)) (*core.Result, []byte) {
@@ -87,7 +89,7 @@ func assertShardsEqual(t *testing.T, mk func() (core.Space, core.Accelerator), f
 		if got.Stats.CrossShardDirect <= 0 {
 			t.Fatalf("shards=%d: no direct fan-out ops recorded", shards)
 		}
-		probeRun, probeCentroids := run(shards, func(o *core.Options) { o.DisableForeignSlots = true })
+		probeRun, probeCentroids := run(shards, func(o *core.Options) { o.ForeignSlotBudget = 1 })
 		compare(fmt.Sprintf("shards=%d/probe-oracle", shards), probeRun, probeCentroids)
 		if probeRun.Stats.ForeignSlotBytes != 0 {
 			t.Fatalf("shards=%d: probe oracle recorded %d foreign-slot bytes",
@@ -178,8 +180,8 @@ func TestShardInvarianceKMeans(t *testing.T) {
 }
 
 // TestShardInvarianceSerialOracle crosses sharding with the serial
-// bootstrap oracle: even the per-item sign+insert path must be
-// shard-blind.
+// reference driver: the parallel pipeline at Shards 1 and 4 must match
+// the reference's per-item sign+insert path over one shard.
 func TestShardInvarianceSerialOracle(t *testing.T) {
 	ds := bootstrapWorkload(t)
 	mk := func() (core.Space, core.Accelerator) {
@@ -195,9 +197,11 @@ func TestShardInvarianceSerialOracle(t *testing.T) {
 	}
 	for _, boot := range []core.BootstrapMode{core.BootstrapFullScan, core.BootstrapSeeded} {
 		t.Run(fmt.Sprintf("boot=%d", boot), func(t *testing.T) {
-			assertShardsEqual(t, mk, kmodesFingerprint(t), core.Options{
-				Bootstrap: boot, MaxIterations: 12, DisableParallelBootstrap: true,
-			}, []int{1, 4})
+			for _, shards := range []int{1, 4} {
+				assertMatchesReference(t, mk, kmodesFingerprint(t), core.Options{
+					Bootstrap: boot, Shards: shards, MaxIterations: 12,
+				})
+			}
 		})
 	}
 }
@@ -264,7 +268,7 @@ func TestShardsIgnoredWithoutCapability(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := core.Run(s, core.Options{
-		Accelerator: &fixedShortlistAccel{k: 30}, Shards: 4, MaxIterations: 3,
+		Accelerator: &reference.PerfectRecall{}, Shards: 4, MaxIterations: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,27 +277,3 @@ func TestShardsIgnoredWithoutCapability(t *testing.T) {
 		t.Fatalf("capability-less accelerator reported %d shards", res.Stats.Shards)
 	}
 }
-
-// fixedShortlistAccel always shortlists every cluster (no sharding,
-// no unindexed queries — the minimal Accelerator surface).
-type fixedShortlistAccel struct {
-	k   int
-	buf []int32
-}
-
-func (a *fixedShortlistAccel) Reset(k int) error {
-	a.k = k
-	a.buf = make([]int32, k)
-	for i := range a.buf {
-		a.buf[i] = int32(i)
-	}
-	return nil
-}
-func (a *fixedShortlistAccel) Insert(int32) error { return nil }
-func (a *fixedShortlistAccel) NewQuerier() core.Querier {
-	return fixedShortlistQuerier{buf: a.buf}
-}
-
-type fixedShortlistQuerier struct{ buf []int32 }
-
-func (q fixedShortlistQuerier) Candidates(int32, []int32) []int32 { return q.buf }

@@ -8,6 +8,7 @@ package kmeans
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"lshcluster/internal/kernel"
@@ -65,6 +66,7 @@ type Space struct {
 func (s *Space) SetScalarKernels(scalar bool) { s.scalarKernels = scalar }
 
 // NewSpace picks cfg.K distinct random points as initial centroids.
+// Every coordinate must be finite (see NewSpaceFromSeeds).
 func NewSpace(points []float64, dim int, cfg Config) (*Space, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("kmeans: dim must be ≥ 1, got %d", dim)
@@ -89,13 +91,19 @@ func NewSpace(points []float64, dim int, cfg Config) (*Space, error) {
 }
 
 // NewSpaceFromSeeds builds a space whose initial centroids are copies of
-// the given points.
+// the given points. Every coordinate must be finite: one NaN or ±Inf
+// would poison its cluster's centroid and the objective.
 func NewSpaceFromSeeds(points []float64, dim int, seedItems []int32, cfg Config) (*Space, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("kmeans: dim must be ≥ 1, got %d", dim)
 	}
 	if len(points)%dim != 0 {
 		return nil, fmt.Errorf("kmeans: %d values not a multiple of dim %d", len(points), dim)
+	}
+	for i, v := range points {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("kmeans: value %d (point %d, coordinate %d) is %v; coordinates must be finite", i, i/dim, i%dim, v)
+		}
 	}
 	n := len(points) / dim
 	k := len(seedItems)

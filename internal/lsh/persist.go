@@ -210,11 +210,10 @@ type OpenOptions struct {
 	// MemoryBudget, when > 0 with Mmap, caps resident shard bytes via
 	// the residency manager (see residency.go).
 	MemoryBudget int64
-	// SkipForeign drops any persisted foreign-slot arrays so the
-	// key-probe oracle stays in effect (DisableForeignSlots).
-	SkipForeign bool
 	// ForeignBudget is the foreign-slot byte budget (0 = default,
-	// negative = unlimited); persisted arrays over budget are dropped.
+	// negative = unlimited); persisted arrays over budget are dropped,
+	// leaving the key-probe fan-out in effect (a budget of 1 byte pins
+	// it, as it does for a fresh build).
 	ForeignBudget int64
 	Workers       int
 }
@@ -277,7 +276,7 @@ func OpenSharded(dir string, opt OpenOptions) (*Sharded, OpenReport, error) {
 	foreignEmpty := make([][]uint64, S)
 	loadTimes := make([]time.Duration, S)
 	errs := make([]error, S)
-	wantForeign := m.ForeignBytes > 0 && !opt.SkipForeign && S > 1
+	wantForeign := m.ForeignBytes > 0 && S > 1
 	if wantForeign {
 		budget := opt.ForeignBudget
 		if budget == 0 {

@@ -173,9 +173,10 @@ func TestOpenShardedRejectsStale(t *testing.T) {
 	})
 }
 
-// TestOpenShardedSkipForeign pins the oracle interaction: loading with
-// SkipForeign (the DisableForeignSlots path) must leave the key-probe
-// oracle in effect, with the same answers.
+// TestOpenShardedSkipForeign pins the budget interaction: loading with
+// a foreign-slot budget the persisted arrays exceed (1 byte, the
+// probe-pinning budget) must skip them and leave the key-probe fan-out
+// in effect, with the same answers.
 func TestOpenShardedSkipForeign(t *testing.T) {
 	const n = 200
 	p := Params{Bands: 6, Rows: 3}
@@ -188,21 +189,21 @@ func TestOpenShardedSkipForeign(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := openOptsFor(fresh, true)
-	opt.SkipForeign = true
+	opt.ForeignBudget = 1
 	loaded, _, err := OpenSharded(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.ClosePersist()
 	if loaded.ForeignSlotBytes() != 0 {
-		t.Fatalf("SkipForeign load still holds %d foreign bytes", loaded.ForeignSlotBytes())
+		t.Fatalf("over-budget load still holds %d foreign bytes", loaded.ForeignSlotBytes())
 	}
 	fq, lq := fresh.NewQuery(), loaded.NewQuery()
 	for i := 0; i < n; i++ {
 		w := collectQueryCandidates(fq, int32(i))
 		g := collectQueryCandidates(lq, int32(i))
 		if !reflect.DeepEqual(w, g) {
-			t.Fatalf("item %d candidates differ under SkipForeign", i)
+			t.Fatalf("item %d candidates differ with foreign slots skipped", i)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"lshcluster/internal/kmodes"
 	"lshcluster/internal/lsh"
 	"lshcluster/internal/minhash"
+	"lshcluster/internal/reference"
 )
 
 // workloadFromRand maps quick's random bytes onto a small but varied
@@ -190,7 +191,7 @@ func TestPropertyPerfectRecallEquivalence(t *testing.T) {
 			return false
 		}
 		full, err := core.Run(mk(), core.Options{
-			Accelerator:   &fullRecallAccel{},
+			Accelerator:   &reference.PerfectRecall{},
 			MaxIterations: 8,
 		})
 		if err != nil {
@@ -211,24 +212,3 @@ func TestPropertyPerfectRecallEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// fullRecallAccel returns every cluster for every item.
-type fullRecallAccel struct {
-	buf []int32
-}
-
-func (a *fullRecallAccel) Reset(k int) error {
-	a.buf = make([]int32, k)
-	for i := range a.buf {
-		a.buf[i] = int32(i)
-	}
-	return nil
-}
-func (a *fullRecallAccel) Insert(int32) error { return nil }
-func (a *fullRecallAccel) NewQuerier() core.Querier {
-	return fullRecallQuerier{buf: a.buf}
-}
-
-type fullRecallQuerier struct{ buf []int32 }
-
-func (q fullRecallQuerier) Candidates(int32, []int32) []int32 { return q.buf }

@@ -105,13 +105,10 @@ type Config struct {
 	// spend on materialised cross-shard fan-out arrays, which replace
 	// per-query key-table probes of foreign shards with direct indexed
 	// loads. 0 selects the default budget (64 MiB), negative means
-	// unlimited; over budget the index transparently keeps probing.
-	// Results are bit-identical either way. Ignored with Shards < 2.
+	// unlimited; over budget the index transparently keeps probing, so
+	// a budget of 1 pins the key-probe path. Results are bit-identical
+	// either way. Ignored with Shards < 2.
 	ForeignSlotBudget int64
-	// DisableForeignSlots pins the cross-shard fan-out to the key-probe
-	// path regardless of budget (the correctness oracle and A/B
-	// baseline for the materialised arrays).
-	DisableForeignSlots bool
 	// ScalarKernels routes the hot-loop distance and signing kernels
 	// through their scalar references instead of the unrolled versions
 	// (results are bit-identical either way); this switch is the
@@ -130,30 +127,6 @@ type Config struct {
 	// LowestIndexTies breaks distance ties towards the lowest cluster
 	// index (numpy-argmin style) instead of keeping the current cluster.
 	LowestIndexTies bool
-	// DisableIncremental forces full centroid/cost recomputation each
-	// pass even when the space supports incremental updates. The batch
-	// path is the correctness oracle for the incremental engine
-	// (results are bit-identical either way); it implies
-	// DisableActiveFilter, which needs the engine's change reports.
-	DisableIncremental bool
-	// DisableActiveFilter forces every post-bootstrap assignment pass
-	// to evaluate all n items. By default accelerated runs skip items
-	// whose cluster neighbourhood provably did not change since the
-	// previous pass (results are bit-identical either way); this
-	// switch is the correctness oracle and A/B baseline.
-	DisableActiveFilter bool
-	// DisableParallelBootstrap forces the serial bootstrap — the
-	// per-item sign+insert loop and single-threaded first assignment —
-	// instead of the parallel sign → build → assign pipeline (results
-	// are bit-identical either way); this switch is the correctness
-	// oracle and A/B baseline.
-	DisableParallelBootstrap bool
-	// DisableImmediateBatching forces the immediate-update assignment
-	// pass to evaluate items one at a time instead of gathering
-	// shortlists in blocks cut at move boundaries (results are
-	// bit-identical either way); this switch is the correctness oracle
-	// and A/B baseline.
-	DisableImmediateBatching bool
 	// DisableReorder forces the sharded LSH index to build in original
 	// item order instead of applying the locality-preserving
 	// permutation that makes co-colliding items contiguous (results
@@ -168,8 +141,7 @@ type Config struct {
 	// the first full scan, with bit-identical results. The saved index
 	// is pinned to the dataset fingerprint, parameters, seed, shard
 	// count and reorder setting; any mismatch is an error, never a
-	// silent rebuild. Requires an LSH run with the parallel bootstrap
-	// (not SeededBootstrap, not DisableParallelBootstrap).
+	// silent rebuild. Requires an LSH run without SeededBootstrap.
 	IndexDir string
 	// DisableMmap loads a persisted index by copying it onto the heap
 	// instead of memory-mapping it zero-copy (results are bit-identical
@@ -216,28 +188,23 @@ type Config struct {
 
 func (c Config) coreOptions() core.Options {
 	opts := core.Options{
-		MaxIterations:            c.MaxIterations,
-		EarlyAbandon:             c.EarlyAbandon,
-		Workers:                  c.Workers,
-		Shards:                   c.Shards,
-		ForeignSlotBudget:        c.ForeignSlotBudget,
-		DisableForeignSlots:      c.DisableForeignSlots,
-		ScalarKernels:            c.ScalarKernels,
-		IndexDir:                 c.IndexDir,
-		DisableMmap:              c.DisableMmap,
-		ShardMemoryBudget:        c.ShardMemoryBudget,
-		SnapshotEvery:            c.SnapshotEvery,
-		ChaosSpec:                c.ChaosSpec,
-		RetryBudget:              c.RetryBudget,
-		HedgeAfter:               c.HedgeAfter,
-		DisableHedging:           c.DisableHedging,
-		OnIteration:              c.OnIteration,
-		Context:                  c.Context,
-		DisableIncremental:       c.DisableIncremental,
-		DisableActiveFilter:      c.DisableActiveFilter,
-		DisableParallelBootstrap: c.DisableParallelBootstrap,
-		DisableImmediateBatching: c.DisableImmediateBatching,
-		DisableReorder:           c.DisableReorder,
+		MaxIterations:     c.MaxIterations,
+		EarlyAbandon:      c.EarlyAbandon,
+		Workers:           c.Workers,
+		Shards:            c.Shards,
+		ForeignSlotBudget: c.ForeignSlotBudget,
+		ScalarKernels:     c.ScalarKernels,
+		IndexDir:          c.IndexDir,
+		DisableMmap:       c.DisableMmap,
+		ShardMemoryBudget: c.ShardMemoryBudget,
+		SnapshotEvery:     c.SnapshotEvery,
+		ChaosSpec:         c.ChaosSpec,
+		RetryBudget:       c.RetryBudget,
+		HedgeAfter:        c.HedgeAfter,
+		DisableHedging:    c.DisableHedging,
+		OnIteration:       c.OnIteration,
+		Context:           c.Context,
+		DisableReorder:    c.DisableReorder,
 	}
 	if c.SeededBootstrap {
 		opts.Bootstrap = core.BootstrapSeeded
@@ -267,6 +234,35 @@ type Result struct {
 // dataset carries ground-truth labels the result's Stats.Purity is
 // filled.
 func Cluster(ds *Dataset, cfg Config) (*Result, error) {
+	space, opts, err := kmodesRun(ds, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.Run(space, opts)
+	closeIndex(opts.Accelerator)
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{Assign: res.Assign, Stats: res.Stats, Model: space.Model()}
+	out.Stats.Name = "K-Modes"
+	if cfg.LSH != nil {
+		out.Stats.Name = fmt.Sprintf("MH-K-Modes %v", *cfg.LSH)
+	}
+	if ds.Labeled() {
+		p, err := metrics.Purity(res.Assign, ds.Labels())
+		if err != nil {
+			return nil, err
+		}
+		out.Stats.Purity = p
+	}
+	return out, nil
+}
+
+// kmodesRun builds the K-Modes space (seeded per cfg.Init) and the
+// core options Cluster runs, with the MinHash accelerator when cfg.LSH
+// is set.
+func kmodesRun(ds *Dataset, cfg Config) (*kmodes.Space, core.Options, error) {
+	opts := cfg.coreOptions()
 	var space *kmodes.Space
 	var err error
 	switch cfg.Init {
@@ -283,35 +279,28 @@ func Cluster(ds *Dataset, cfg Config) (*Result, error) {
 			space, err = kmodes.NewSpaceFromSeeds(ds, seeds, kmodes.Config{Seed: cfg.Seed})
 		}
 	default:
-		return nil, fmt.Errorf("lshcluster: unknown init method %d", cfg.Init)
+		err = fmt.Errorf("lshcluster: unknown init method %d", cfg.Init)
 	}
 	if err != nil {
-		return nil, err
+		return nil, opts, err
 	}
-	opts := cfg.coreOptions()
-	name := "K-Modes"
 	if cfg.LSH != nil {
 		accel, err := core.NewMinHashAccelerator(ds, *cfg.LSH, uint64(cfg.Seed)+0x9e37)
 		if err != nil {
-			return nil, err
+			return nil, opts, err
 		}
 		opts.Accelerator = accel
-		name = fmt.Sprintf("MH-K-Modes %v", *cfg.LSH)
 	}
-	res, err := core.Run(space, opts)
-	if err != nil {
-		return nil, err
+	return space, opts, nil
+}
+
+// closeIndex releases the accelerator's index once core.Run has
+// returned: a warm start memory-maps the saved index, and the mapping
+// would otherwise outlive the call.
+func closeIndex(a core.Accelerator) {
+	if c, ok := a.(interface{ Close() error }); ok {
+		_ = c.Close()
 	}
-	out := &Result{Assign: res.Assign, Stats: res.Stats, Model: space.Model()}
-	out.Stats.Name = name
-	if ds.Labeled() {
-		p, err := metrics.Purity(res.Assign, ds.Labels())
-		if err != nil {
-			return nil, err
-		}
-		out.Stats.Purity = p
-	}
-	return out, nil
 }
 
 // NumericResult is the outcome of ClusterNumeric.
@@ -327,23 +316,14 @@ type NumericResult struct {
 // ClusterNumeric partitions dense numeric vectors (row-major, length
 // n·dim) into cfg.K clusters with K-Means — exact when cfg.LSH is nil,
 // SimHash-accelerated otherwise. This is the paper's further-work
-// extension to numeric data.
+// extension to numeric data. Points must be finite.
 func ClusterNumeric(points []float64, dim int, cfg Config) (*NumericResult, error) {
-	space, err := kmeans.NewSpace(points, dim, kmeans.Config{K: cfg.K, Seed: cfg.Seed})
+	space, opts, err := kmeansRun(points, dim, cfg)
 	if err != nil {
 		return nil, err
 	}
-	opts := cfg.coreOptions()
-	name := "K-Means"
-	if cfg.LSH != nil {
-		accel, err := simhash.NewAccelerator(space, *cfg.LSH, cfg.Seed+0x51)
-		if err != nil {
-			return nil, err
-		}
-		opts.Accelerator = accel
-		name = fmt.Sprintf("SimHash-K-Means %v", *cfg.LSH)
-	}
 	res, err := core.Run(space, opts)
+	closeIndex(opts.Accelerator)
 	if err != nil {
 		return nil, err
 	}
@@ -352,8 +332,30 @@ func ClusterNumeric(points []float64, dim int, cfg Config) (*NumericResult, erro
 		copy(centroids[c*dim:(c+1)*dim], space.Centroid(c))
 	}
 	out := &NumericResult{Assign: res.Assign, Stats: res.Stats, Centroids: centroids}
-	out.Stats.Name = name
+	out.Stats.Name = "K-Means"
+	if cfg.LSH != nil {
+		out.Stats.Name = fmt.Sprintf("SimHash-K-Means %v", *cfg.LSH)
+	}
 	return out, nil
+}
+
+// kmeansRun builds the K-Means space and the core options
+// ClusterNumeric runs, with the SimHash accelerator when cfg.LSH is
+// set.
+func kmeansRun(points []float64, dim int, cfg Config) (*kmeans.Space, core.Options, error) {
+	opts := cfg.coreOptions()
+	space, err := kmeans.NewSpace(points, dim, kmeans.Config{K: cfg.K, Seed: cfg.Seed})
+	if err != nil {
+		return nil, opts, err
+	}
+	if cfg.LSH != nil {
+		accel, err := simhash.NewAccelerator(space, *cfg.LSH, cfg.Seed+0x51)
+		if err != nil {
+			return nil, opts, err
+		}
+		opts.Accelerator = accel
+	}
+	return space, opts, nil
 }
 
 // ReadCSV parses a dataset from CSV (header row of attribute names; a

@@ -2,8 +2,12 @@ package lshcluster
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"lshcluster/internal/core"
+	"lshcluster/internal/reference"
 )
 
 func syntheticDataset(t *testing.T) *Dataset {
@@ -73,26 +77,39 @@ func TestClusterOptionsPlumbing(t *testing.T) {
 	}
 }
 
-// TestClusterParallelBootstrapEquivalence checks the facade-level A/B:
-// the parallel bootstrap pipeline and its serial oracle must produce
-// identical clusterings, and the pipeline must report its phase split.
+// assertClusterMatchesReference requires Cluster(ds, cfg) to equal
+// the reference driver run on the space and options the facade builds
+// for cfg (reference.Diff: assignment, per-pass moves and cost,
+// convergence, and the work counters of every full pass).
+func assertClusterMatchesReference(t testing.TB, ds *Dataset, cfg Config) *Result {
+	t.Helper()
+	got, err := Cluster(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, opts, err := kmodesRun(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := reference.Run(space, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reference.Diff(&core.Result{Assign: got.Assign, Stats: got.Stats}, want); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestClusterParallelBootstrapEquivalence checks the facade-level
+// bootstrap: the parallel sign → build → assign pipeline must produce
+// the clustering of the reference driver's serial per-item bootstrap,
+// and the pipeline must report its phase split.
 func TestClusterParallelBootstrapEquivalence(t *testing.T) {
 	ds := syntheticDataset(t)
-	cfg := Config{K: 15, Seed: 2, LSH: &Params{Bands: 10, Rows: 2}, Workers: 4, MaxIterations: 6}
-	par, err := Cluster(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DisableParallelBootstrap = true
-	ser, err := Cluster(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range par.Assign {
-		if par.Assign[i] != ser.Assign[i] {
-			t.Fatalf("assign[%d]: parallel %d, serial %d", i, par.Assign[i], ser.Assign[i])
-		}
-	}
+	par := assertClusterMatchesReference(t, ds, Config{
+		K: 15, Seed: 2, LSH: &Params{Bands: 10, Rows: 2}, Workers: 4, MaxIterations: 6,
+	})
 	if par.Stats.BootstrapSign <= 0 || par.Stats.BootstrapBuild <= 0 || par.Stats.BootstrapAssign <= 0 {
 		t.Fatalf("parallel bootstrap phases not recorded: sign=%v build=%v assign=%v",
 			par.Stats.BootstrapSign, par.Stats.BootstrapBuild, par.Stats.BootstrapAssign)
@@ -153,24 +170,33 @@ func TestClusterShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestClusterDisableIncrementalEquivalence checks the facade-level
-// incremental-engine A/B: forcing full recomputation each pass (the
-// batch oracle) must produce the identical clustering.
-func TestClusterDisableIncrementalEquivalence(t *testing.T) {
+// TestClusterMatchesReference checks the facade's default
+// accelerated run — immediate updates, incremental engine, active-set
+// filter — against the reference driver, which recomputes centroids
+// and cost in full and evaluates every item every pass.
+func TestClusterMatchesReference(t *testing.T) {
 	ds := syntheticDataset(t)
-	cfg := Config{K: 15, Seed: 2, LSH: &Params{Bands: 10, Rows: 2}, MaxIterations: 6}
-	fast, err := Cluster(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DisableIncremental = true
-	oracle, err := Cluster(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range oracle.Assign {
-		if oracle.Assign[i] != fast.Assign[i] {
-			t.Fatalf("assign[%d]: incremental %d, batch oracle %d", i, fast.Assign[i], oracle.Assign[i])
+	assertClusterMatchesReference(t, ds, Config{K: 15, Seed: 2, LSH: &Params{Bands: 10, Rows: 2}, MaxIterations: 6})
+}
+
+// TestClusterNumericRejectsNonFinite: a NaN or infinite coordinate must
+// be rejected up front, naming its index, on the exact and the SimHash
+// path alike, instead of returning a NaN cost and centroid.
+func TestClusterNumericRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, params := range []*Params{nil, {Bands: 6, Rows: 3}} {
+			pts, _, err := GenerateBlobs(BlobsConfig{Points: 200, Clusters: 5, Dim: 3, Seed: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts[17] = bad
+			res, err := ClusterNumeric(pts, 3, Config{K: 5, Seed: 9, LSH: params})
+			if err == nil {
+				t.Fatalf("value %v, LSH %v: accepted (cost %v)", bad, params, res.Stats.Iterations[len(res.Stats.Iterations)-1].Cost)
+			}
+			if !strings.Contains(err.Error(), "value 17") {
+				t.Fatalf("value %v, LSH %v: error %q does not name the offending index", bad, params, err)
+			}
 		}
 	}
 }
