@@ -75,6 +75,21 @@
 //     Run.BootstrapSign/BootstrapBuild/BootstrapAssign and the stats
 //     CSV.
 //
+//   - The K-Modes exact first assignment does not compare every item
+//     with all k modes. A mode's distance to an item is m − matches,
+//     so the bootstrap indexes the initial modes in per-attribute
+//     posting lists (value → the modes holding it, ascending) and each
+//     item adds up matches over only the modes that share one of its
+//     values, picking the lowest-indexed mode with the most matches
+//     (mode 0 when nothing matches). That is exactly the
+//     lowest-indexed minimum of the all-k scan, under either
+//     tie-break, at a fraction of the work: on the benchmark's
+//     100k × 24, k=1000 data an item reaches about 130 modes, not
+//     1000. The same scan serves the seeded bootstrap's
+//     empty-shortlist fallback and the warm-start spot-check; the
+//     postings are dropped before the first pass, whose comparisons
+//     and counters are unchanged. K-Means keeps the all-k scan.
+//
 //   - Bootstrap signing memoizes per-value MinHash columns when the
 //     value dictionary is compact enough to stay cache-resident, so
 //     each distinct categorical value is hashed once instead of once

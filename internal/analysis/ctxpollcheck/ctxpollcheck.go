@@ -56,7 +56,9 @@ var WorkMarkers = map[string]bool{
 	// distance evaluation
 	"Dissimilarity": true, "BoundedDissimilarity": true,
 	"bestOf": true, "bestExact": true, "bestOfLowestIndex": true,
-	"fullScanRange": true, "dist": true,
+	"dist": true,
+	// the bootstrap's all-k exact scan (core.ExactScanner)
+	"NearestExact": true, "nearestExact": true,
 	// indexing and signing
 	"Insert": true, "InsertKeys": true, "InsertSignature": true,
 	"InsertPresigned": true, "insert": true, "sign": true,

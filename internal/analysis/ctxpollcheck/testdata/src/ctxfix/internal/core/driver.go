@@ -7,6 +7,8 @@ type space struct{}
 
 func (space) Dissimilarity(item, cluster int) float64 { return 0 }
 
+func (space) NearestExact(item int, scratch []int32) int { return 0 }
+
 type querier struct{}
 
 func (querier) Candidates(item int32, assign []int32) []int32 { return nil }
@@ -43,6 +45,24 @@ func (d *driver) polledPass(assign []int32) {
 			}
 		}
 		_ = d.q.Candidates(int32(i), assign)
+	}
+}
+
+// unpolledScan is the exact-scan shape: every item against all k
+// centroids through the space's ExactScanner, no poll.
+func (d *driver) unpolledScan(assign []int32, scratch []int32) {
+	for i := range assign { // want `per-item loop performs driver work without polling`
+		assign[i] = int32(d.space.NearestExact(i, scratch))
+	}
+}
+
+// polledScan polls once per chunk of the exact scan.
+func (d *driver) polledScan(assign []int32, scratch []int32) {
+	for i := range assign {
+		if i%1024 == 0 && ctxErr(d.ctx) != nil {
+			return
+		}
+		assign[i] = int32(d.space.NearestExact(i, scratch))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"lshcluster/internal/datagen"
@@ -207,4 +208,77 @@ func TestBootstrapCancellation(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("accelerated: err = %v, want context.Canceled", err)
 	}
+
+	// kmodes.Space takes the posting-list scan (core.ExactScanner); it
+	// must keep the per-chunk polling, exact and accelerated alike.
+	scanDS, err := datagen.Generate(datagen.Config{
+		Items: 20_000, Clusters: 30, Attrs: 12, Domain: 200, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, accelerated := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("kmodes/accelerated=%v/w=%d", accelerated, workers), func(t *testing.T) {
+				inner, err := kmodes.NewSpace(scanDS, kmodes.Config{K: 30, Seed: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := &armedCtx{Context: context.Background()}
+				space := &armedScanSpace{Space: inner, ctx: ctx}
+				opts := core.Options{Workers: workers, MaxIterations: 2, Context: ctx}
+				if accelerated {
+					a, err := core.NewMinHashAccelerator(scanDS, lsh.Params{Bands: 8, Rows: 4}, 7)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Accelerator, opts.Update = a, core.UpdateDeferred
+				}
+				if _, err := core.Run(space, opts); err != context.Canceled {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				// Each worker scans at most one poll chunk before it
+				// observes the cancellation.
+				calls := space.calls.Load()
+				if calls == 0 {
+					t.Fatal("the bootstrap never reached the ExactScanner scan")
+				}
+				if budget := int64(workers) * 1024; calls > budget {
+					t.Fatalf("%d NearestExact calls after cancellation, want ≤ %d", calls, budget)
+				}
+			})
+		}
+	}
+}
+
+// armedScanSpace is a kmodes.Space that arms ctx when the bootstrap's
+// exact scan begins — so the scan's first poll cancels — and counts the
+// scan's NearestExact calls.
+type armedScanSpace struct {
+	*kmodes.Space
+	ctx   *armedCtx
+	calls atomic.Int64
+}
+
+func (s *armedScanSpace) BeginExactScan() {
+	s.Space.BeginExactScan()
+	s.ctx.armed.Store(true)
+}
+
+func (s *armedScanSpace) NearestExact(item int, scratch []int32) int {
+	s.calls.Add(1)
+	return s.Space.NearestExact(item, scratch)
+}
+
+// armedCtx reports cancellation once armed.
+type armedCtx struct {
+	context.Context
+	armed atomic.Bool
+}
+
+func (c *armedCtx) Err() error {
+	if c.armed.Load() {
+		return context.Canceled
+	}
+	return nil
 }

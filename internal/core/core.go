@@ -26,7 +26,9 @@
 // without changing results: IncrementalSpace (exact O(moves) centroid
 // and objective maintenance in place of full per-pass recomputation)
 // and Freezer (post-bootstrap compaction of the accelerator's index
-// into a read-optimised layout). See incremental.go.
+// into a read-optimised layout). See incremental.go. A third,
+// ExactScanner, does the same for the bootstrap's exact first
+// assignment (K-Modes answers it from value→mode posting lists).
 package core
 
 import (
@@ -181,6 +183,32 @@ const (
 // their initial centroids came from expose them for BootstrapSeeded.
 type Seeder interface {
 	Seeds() []int32
+}
+
+// ExactScanner is an optional Space capability: spaces that can find
+// an item's nearest centroid over all k centroids with less work than k
+// Dissimilarity calls implement it (K-Modes does, through value→mode
+// posting lists). The driver uses it for every all-k scan the bootstrap
+// makes while the centroids are still the initial ones — the full-scan
+// first assignment, the seeded bootstrap's empty-shortlist fallback and
+// the warm-start spot-check — and releases it before the first pass, so
+// the passes and their comparison counters are unchanged. Spaces
+// without it get bestExact.
+//
+// Call sequence: BeginExactScan once, exclusively; then NearestExact
+// from any number of workers, each with its own scratch; then
+// EndExactScan once. The centroids do not change in between.
+type ExactScanner interface {
+	// BeginExactScan snapshots the current centroids.
+	BeginExactScan()
+	// NearestExact returns the lowest-indexed centroid at minimum
+	// dissimilarity from item under the snapshot — what bestExact(item,
+	// −1, nil) returns under either tie-break. scratch is the calling
+	// worker's own buffer of NumClusters() zeroed cells; NearestExact
+	// leaves it zeroed.
+	NearestExact(item int, scratch []int32) int
+	// EndExactScan releases the snapshot.
+	EndExactScan()
 }
 
 // Options configures Run. The zero value runs the exact baseline with
@@ -383,7 +411,9 @@ func Run(space Space, opts Options) (*Result, error) {
 		return nil, err
 	}
 	bootStart := time.Now()
-	if err := d.bootstrap(); err != nil {
+	err := d.bootstrap()
+	d.endExactScan()
+	if err != nil {
 		return nil, err
 	}
 	// All items are indexed by now; compact the index for the recurring
@@ -566,6 +596,9 @@ type driver struct {
 	chg ChangeReporter
 	rev ReverseView
 	act activeState
+	// scan is the space's ExactScanner while its bootstrap snapshot is
+	// live (see beginExactScan); nil otherwise.
+	scan ExactScanner
 }
 
 // passStats aggregates one assignment pass. evaluated counts the items
@@ -777,6 +810,7 @@ func (d *driver) bootstrap() error {
 		// empty. Accelerators without the capability get that empty
 		// shortlist, so every non-seed item takes the exact scan.
 		uq, _ := accel.(UnindexedQuerier)
+		scratch := d.beginExactScan()
 		poll := 0
 		for i := 0; i < d.n; i++ {
 			if isSeed[i] {
@@ -792,8 +826,12 @@ func (d *driver) bootstrap() error {
 			if uq != nil {
 				shortlist = uq.CandidatesUnindexed(int32(i), d.assign)
 			}
-			// An empty shortlist falls back to an exact scan (bestOf).
-			d.assign[i] = d.bestOf(i, -1, shortlist, nil)
+			if len(shortlist) == 0 {
+				// Nothing indexed collides with the item: exact scan.
+				d.assign[i] = int32(d.nearestExact(i, scratch))
+			} else {
+				d.assign[i] = d.bestOf(i, -1, shortlist, nil)
+			}
 			if err := insert(int32(i)); err != nil {
 				return fmt.Errorf("core: indexing item %d: %w", i, err)
 			}
@@ -844,7 +882,9 @@ func (d *driver) setAssign(i int, c int32) {
 // cancellation; the caller returns the context error, discarding the
 // partial assignment with the run.
 func (d *driver) bootstrapScan(workers int) {
+	d.beginExactScan()
 	par.Ranges(d.n, workers, func(lo, hi int) {
+		scratch := d.exactScratch()
 		for next := lo; next < hi; {
 			end := next + ctxPollEvery
 			if end > hi {
@@ -852,7 +892,7 @@ func (d *driver) bootstrapScan(workers int) {
 			}
 			//lshvet:ignore ctxpollcheck one ctxPollEvery-item chunk; the enclosing loop polls after it
 			for i := next; i < end; i++ {
-				d.assign[i] = int32(d.bestExact(i, -1, nil))
+				d.assign[i] = int32(d.nearestExact(i, scratch))
 			}
 			next = end
 			if ctxErr(d.opts.Context) != nil {
@@ -860,6 +900,45 @@ func (d *driver) bootstrapScan(workers int) {
 			}
 		}
 	})
+}
+
+// beginExactScan snapshots the initial centroids for nearestExact when
+// the space is an ExactScanner (once per bootstrap; Run releases the
+// snapshot before the first pass) and returns one worker's scratch.
+// Call it outside any worker goroutine.
+func (d *driver) beginExactScan() []int32 {
+	if es, ok := d.space.(ExactScanner); ok && d.scan == nil {
+		es.BeginExactScan()
+		d.scan = es
+	}
+	return d.exactScratch()
+}
+
+// exactScratch returns a fresh nearestExact scratch for one worker
+// (nil without an ExactScanner).
+func (d *driver) exactScratch() []int32 {
+	if d.scan == nil {
+		return nil
+	}
+	return make([]int32, d.k)
+}
+
+// endExactScan releases the ExactScanner snapshot, if any.
+func (d *driver) endExactScan() {
+	if d.scan != nil {
+		d.scan.EndExactScan()
+		d.scan = nil
+	}
+}
+
+// nearestExact returns bestExact(item, −1, nil): the lowest-indexed
+// closest cluster over all k, through the ExactScanner snapshot when
+// there is one. scratch is the calling worker's exactScratch.
+func (d *driver) nearestExact(item int, scratch []int32) int {
+	if d.scan != nil {
+		return d.scan.NearestExact(item, scratch)
+	}
+	return d.bestExact(item, -1, nil)
 }
 
 // bestExact returns the closest cluster to item over all k clusters.
@@ -906,8 +985,8 @@ func (d *driver) bestExact(item, cur int, comps *int64) int {
 // With neither a current cluster nor any candidate there is nothing to
 // compare against; rather than silently electing cluster 0 (or −1
 // under lowest-index ties), bestOf falls back to an exact scan over
-// all k clusters — the seeded bootstrap's answer for an item that
-// collides with nothing indexed yet.
+// all k clusters (the seeded bootstrap takes nearestExact for such an
+// item before reaching here).
 func (d *driver) bestOf(item, cur int, candidates []int32, comps *int64) int32 {
 	if cur < 0 && len(candidates) == 0 {
 		return int32(d.bestExact(item, cur, comps))

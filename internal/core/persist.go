@@ -153,7 +153,8 @@ func (d *driver) restoreBootstrapAssign(path string) bool {
 	// Spot-check: the bootstrap assignment is a pure function of the
 	// space's initial centroids, so recomputing a sample exactly detects
 	// a stale file (different space seed, edited data).
-	check := func(i int) bool { return d.bestExact(i, -1, nil) == int(saved[i]) }
+	scratch := d.beginExactScan()
+	check := func(i int) bool { return d.nearestExact(i, scratch) == int(saved[i]) }
 	for i := 0; i < d.n && i < assignSampleSize; i++ {
 		if !check(i) {
 			return false

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -361,6 +362,84 @@ func TestBootstrapAssignCorruptRescans(t *testing.T) {
 	}
 	if bytes.Equal(healed, raw) {
 		t.Fatal("rescan did not rewrite the corrupt assignment cache")
+	}
+}
+
+// TestBootstrapAssignStaleSampleRescans: a well-formed assignment
+// cache (valid CRCs, valid cluster IDs) that disagrees with the exact
+// first assignment on one spot-checked item must be rejected by the
+// sample recompute and rescanned: the run matches the cold one and the
+// file is rewritten.
+func TestBootstrapAssignStaleSampleRescans(t *testing.T) {
+	dir := t.TempDir()
+	run := func() (*core.Result, []byte) {
+		space, accel := persistSpaceAccel(t, 7, lsh.Params{Bands: 8, Rows: 4})
+		o := persistOpts(dir, 2)
+		o.Accelerator = accel
+		res, err := core.Run(space, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, kmodesFingerprint(t)(space)
+	}
+	cold, coldCentroids := run()
+
+	// The cache's sections: 1 = {n, k} as int64, 2 = the assignment.
+	path := filepath.Join(dir, "bootstrap-assign.bin")
+	fresh, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := persist.Open(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := persist.View[int64](f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := persist.View[int32](f, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdrBytes, assignBytes []byte
+	for _, v := range hdr {
+		hdrBytes = binary.NativeEndian.AppendUint64(hdrBytes, uint64(v))
+	}
+	k := int32(hdr[1])
+	for i, c := range saved {
+		if i == 0 { // item 0 is always in the spot-check sample
+			c = (c + 1) % k
+		}
+		assignBytes = binary.NativeEndian.AppendUint32(assignBytes, uint32(c))
+	}
+	f.Close()
+	if err := persist.WriteFile(path, []persist.Section{
+		{ID: 1, ElemSize: 8, Data: hdrBytes},
+		{ID: 2, ElemSize: 4, Data: assignBytes},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warm, warmCentroids := run()
+	if !warm.Stats.WarmStart {
+		t.Fatal("a stale assignment cache must not prevent the index warm start")
+	}
+	assertPersistEqual(t, "rescan after stale sample", cold, warm, coldCentroids, warmCentroids)
+
+	healed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(healed, stale) {
+		t.Fatal("rescan did not rewrite the stale assignment cache")
+	}
+	if !bytes.Equal(healed, fresh) {
+		t.Fatal("rewritten assignment cache differs from the cold run's")
 	}
 }
 

@@ -72,3 +72,48 @@ func BenchmarkFreqTableMove(b *testing.B) {
 		ft.Move(to, from, ds.Row(item))
 	}
 }
+
+// BenchmarkExactScan runs the exact first assignment on the
+// benchmark's K-Modes shape (100k items × 24 attributes, domain 200,
+// k=1000) two ways, each reporting ns/item: the posting-list scan
+// (BeginExactScan included) and the pairwise all-k Dissimilarity loop
+// it replaces.
+func BenchmarkExactScan(b *testing.B) {
+	const n, m, k = 100_000, 24, 1000
+	ds, err := datagen.Generate(datagen.Config{Items: n, Clusters: k, Attrs: m, Domain: 200, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewSpace(ds, Config{K: k, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	assign := make([]int32, n)
+	b.Run("postings", func(b *testing.B) {
+		scratch := make([]int32, k)
+		b.ReportAllocs()
+		for it := 0; it < b.N; it++ {
+			s.BeginExactScan()
+			for i := range assign {
+				assign[i] = int32(s.NearestExact(i, scratch))
+			}
+			s.EndExactScan()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/item")
+	})
+	b.Run("pairwise", func(b *testing.B) {
+		b.ReportAllocs()
+		for it := 0; it < b.N; it++ {
+			for i := range assign {
+				best, bestD := 0, s.Dissimilarity(i, 0)
+				for c := 1; c < k; c++ {
+					if d := s.Dissimilarity(i, c); d < bestD {
+						best, bestD = c, d
+					}
+				}
+				assign[i] = int32(best)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/item")
+	})
+}

@@ -43,7 +43,11 @@ type Config struct {
 
 // Space is the K-Modes clustering space over a categorical dataset: k
 // modes plus the operations the core driver needs. It satisfies
-// core.Space structurally.
+// core.Space structurally, along with the optional core capabilities
+// IncrementalSpace, ChangeReporter, KernelConfigurable, Seeder and
+// ExactScanner. SetScalarKernels switches the per-pair distance kernels
+// only; the ExactScanner scan (scan.go) counts matches through posting
+// lists and is the same under either setting.
 type Space struct {
 	ds     *dataset.Dataset
 	k      int
@@ -61,6 +65,10 @@ type Space struct {
 	// inc holds the FreqTable-backed incremental engine state
 	// (core.IncrementalSpace); nil until BeginIncremental.
 	inc *incremental
+
+	// post is the value→mode posting snapshot NearestExact scans
+	// (core.ExactScanner); nil outside BeginExactScan/EndExactScan.
+	post *postings
 
 	// scalarKernels routes distance evaluations through the scalar
 	// reference kernels instead of the unrolled ones — the oracle the
