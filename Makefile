@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lsh -run='^$$' -fuzz=FuzzPersistRoundTrip -fuzztime=30s
 	$(GO) test . -run='^$$' -fuzz=FuzzClusterDifferential -fuzztime=30s
 	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzExactScan -fuzztime=30s
+	$(GO) test ./internal/kmodes -run='^$$' -fuzz=FuzzIncrementalModes -fuzztime=30s
 
 # Warm-start A/B: the cold save-and-scan bootstrap against the mmap and
 # heap warm starts on the 100k/S=4 workload, with the derived headline

@@ -161,8 +161,8 @@ func BenchmarkAblationEarlyAbandonOn(b *testing.B) {
 	runAbl(b, core.Options{EarlyAbandon: true}, false)
 }
 
-// Ablation: the incremental engine (FreqTable moves + dirty-cluster
-// refresh + O(1) objective) with cost computed per iteration, unlike
+// Ablation: the incremental engine (recorded moves + dirty-cluster
+// recount + O(1) objective) with cost computed per iteration, unlike
 // the other ablations: the objective pass is part of what the engine
 // removes.
 func BenchmarkAblationEngineIncremental(b *testing.B) {
@@ -339,7 +339,7 @@ func iterWorkload(b *testing.B) *dataset.Dataset {
 
 // benchIterationUpdate measures one iteration's centroid-update plus
 // objective work after a sparse assignment pass (128 moved items out of
-// 100k): the incremental engine folds the moves and refreshes dirty
+// 100k): the incremental engine records the moves and recounts dirty
 // modes; the batch oracle recomputes every mode and rescans every item.
 // The assignment-pass cost itself is identical for both engines and is
 // excluded, so the ratio isolates the work this PR removes.

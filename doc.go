@@ -40,11 +40,13 @@
 // changed rather than to the dataset:
 //
 //   - Both clustering spaces implement the internal IncrementalSpace
-//     capability: item moves are folded into per-cluster state as they
-//     happen (Huang's frequency-based mode update for K-Modes; running
-//     counts with a dirty-cluster refresh for K-Means), and only the
+//     capability: item moves are recorded as they happen, and only the
 //     clusters whose membership changed have their centroids refreshed
-//     at the end of each pass. The per-iteration objective is maintained
+//     at the end of each pass. K-Modes recounts each such cluster's
+//     mode from its members (Huang's frequency-based mode update, with
+//     flat counts over per-(attribute, value) codes numbered once per
+//     dataset); K-Means folds moves into running counts and refreshes
+//     the dirty clusters' sums. The per-iteration objective is maintained
 //     incrementally too. The incremental path is exact — bit-identical
 //     assignments, centroids and costs versus the full-recompute
 //     batch path of the reference driver (internal/reference), which

@@ -3,8 +3,11 @@ package core
 // IncrementalSpace is an optional Space capability: spaces that can fold
 // individual item moves into their centroid state implement it so that
 // the driver's per-iteration work after bootstrap is proportional to
-// what actually changed — O(moves·m) plus a light O(n) membership scan —
-// instead of the full O(n·m) RecomputeCentroids and O(n·m) Cost passes.
+// what actually changed instead of the full O(n·m) RecomputeCentroids
+// and O(n·m) Cost passes. K-Means folds each move into running sums,
+// O(moves·m) plus a light O(n) membership scan; K-Modes' ApplyMove only
+// records the move, and its FinishPass recounts the dirty clusters'
+// modes in O(n + Σ dirty-cluster members·m).
 //
 // The contract mirrors Huang's frequency-based mode update (paper
 // §III-A1) generalised to any centroid space, and every method is
@@ -25,8 +28,8 @@ package core
 //     it must leave the centroids exactly as RecomputeCentroids(assign)
 //     would (including any empty-cluster policy side effects).
 //  2. ApplyMove(item, from, to) — once per item that moved during the
-//     assignment pass, in ascending item order, after the assignment
-//     slice was updated. Centroids visible through Dissimilarity must
+//     assignment pass, in ascending item order (K-Means re-accumulates
+//     in that order), after the assignment slice was updated. Centroids visible through Dissimilarity must
 //     NOT change until FinishPass (Lloyd semantics: centroids are
 //     frozen during a pass). Never called concurrently.
 //  3. FinishPass(assign) — once per pass, after all moves. Publishes

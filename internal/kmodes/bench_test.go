@@ -73,26 +73,45 @@ func BenchmarkFreqTableMove(b *testing.B) {
 	}
 }
 
+// shapeDataset generates the benchmark's K-Modes shape: 100k items ×
+// 24 attributes, domain 200, 1000 clusters.
+func shapeDataset(b *testing.B) *dataset.Dataset {
+	b.Helper()
+	ds, err := datagen.Generate(datagen.Config{Items: 100_000, Clusters: 1000, Attrs: 24, Domain: 200, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds
+}
+
+// shapeSpace builds a fresh k=1000 Space over ds with the timer
+// stopped.
+func shapeSpace(b *testing.B, ds *dataset.Dataset) *Space {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	s, err := NewSpace(ds, Config{K: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
 // BenchmarkExactScan runs the exact first assignment on the
-// benchmark's K-Modes shape (100k items × 24 attributes, domain 200,
-// k=1000) two ways, each reporting ns/item: the posting-list scan
-// (BeginExactScan included) and the pairwise all-k Dissimilarity loop
-// it replaces.
+// benchmark's K-Modes shape two ways, each reporting ns/item: the
+// posting-list scan (BeginExactScan included, on a fresh Space per op
+// so that numbering the value codes is timed too) and the pairwise
+// all-k Dissimilarity loop it replaces.
 func BenchmarkExactScan(b *testing.B) {
-	const n, m, k = 100_000, 24, 1000
-	ds, err := datagen.Generate(datagen.Config{Items: n, Clusters: k, Attrs: m, Domain: 200, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := NewSpace(ds, Config{K: k, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds := shapeDataset(b)
+	n, k := ds.NumItems(), 1000
+	s := shapeSpace(b, ds)
 	assign := make([]int32, n)
 	b.Run("postings", func(b *testing.B) {
 		scratch := make([]int32, k)
 		b.ReportAllocs()
 		for it := 0; it < b.N; it++ {
+			s := shapeSpace(b, ds)
 			s.BeginExactScan()
 			for i := range assign {
 				assign[i] = int32(s.NearestExact(i, scratch))
@@ -116,4 +135,25 @@ func BenchmarkExactScan(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/item")
 	})
+}
+
+// BenchmarkBeginIncremental starts the incremental engine on the
+// benchmark's K-Modes shape from the exact first assignment: each op
+// builds a fresh Space, so it includes numbering the dataset's value
+// codes, recounting all k modes and caching every item's cost.
+func BenchmarkBeginIncremental(b *testing.B) {
+	ds := shapeDataset(b)
+	s := shapeSpace(b, ds)
+	assign := make([]int32, ds.NumItems())
+	scratch := make([]int32, s.NumClusters())
+	s.BeginExactScan()
+	for i := range assign {
+		assign[i] = int32(s.NearestExact(i, scratch))
+	}
+	s.EndExactScan()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		shapeSpace(b, ds).BeginIncremental(assign, true)
+	}
 }

@@ -4,9 +4,11 @@ import "lshcluster/internal/dataset"
 
 // FreqTable maintains per-cluster per-attribute value frequencies and
 // the induced modes *incrementally* — Huang's "frequency based updating
-// of modes" (paper §III-A1) — so that moving one item between clusters
-// updates both affected modes in O(m) amortised instead of recomputing
-// from members.
+// of modes" (paper §III-A1) — so that adding an item to a cluster
+// updates its mode in O(m) amortised instead of recomputing from
+// members. It is the streaming clusterer's table (internal/stream),
+// which folds in arriving items; the batch Space's incremental engine
+// recounts dirty clusters instead (incremental.go).
 //
 // The maintained mode matches Space.RecomputeCentroids exactly: per
 // attribute, the most frequent value among members, ties to the smallest

@@ -2,30 +2,34 @@ package kmodes
 
 import (
 	"slices"
+
+	"lshcluster/internal/dataset"
 )
 
 // This file implements core.IncrementalSpace for the K-Modes space:
-// Huang's frequency-based mode update (paper §III-A1) driven by the
-// per-cluster FreqTable, so that after bootstrap each iteration costs
-// O(moves·m) for the moves plus an O(n) membership scan for objective
-// bookkeeping, instead of the O(n·m) full RecomputeCentroids + O(n·m)
-// full Cost the batch path pays.
+// Huang's frequency-based mode update (paper §III-A1) by recounting. A
+// move only adjusts two cluster sizes, marks both clusters dirty and
+// refreshes the item's cached cost; FinishPass then recounts each dirty
+// cluster's mode from its members. Every item's values are numbered
+// once per Space by (attribute, value) pair (pairs.go), so a recount is
+// a flat int32 count per code with no Go map. A pass costs O(moves) for
+// the moves plus O(n + Σ dirty-cluster members·m) to publish, instead
+// of the O(n·m) full RecomputeCentroids + O(n·m) full Cost the batch
+// path pays.
 //
 // Exactness contract: the published modes and the incremental cost are
-// bit-identical to RecomputeCentroids/Cost on the same assignment —
-// FreqTable maintains the same argmax (highest count, ties to the
-// smallest value ID), all objective arithmetic is integral, and the
-// empty-cluster policy is replayed with the same rand draws in the same
-// cluster order as the batch path. The equivalence tests in
-// internal/core assert this across tie-break modes, update modes and
-// worker counts.
+// bit-identical to RecomputeCentroids/Cost on the same assignment — the
+// recount takes the same argmax (highest count, ties to the smallest
+// value ID), all objective arithmetic is integral, and the empty-cluster
+// policy is replayed with the same rand draws in the same cluster order
+// as the batch path. The equivalence tests in internal/core assert this
+// across tie-break modes, update modes and worker counts.
 
 // incremental is the engine state attached to a Space.
 type incremental struct {
-	freq      *FreqTable
+	sizes     []int32 // member count per cluster under the applied moves
 	dirty     []bool  // clusters whose membership changed this pass
 	dirtyList []int32 // the same clusters, in first-touched order
-	changed   []bool  // clusters whose visible mode changed at FinishPass
 	// changedList records the clusters whose visible mode changed at
 	// the most recent publish (BeginIncremental or FinishPass),
 	// retained until the next publish for ChangedClusters.
@@ -33,52 +37,66 @@ type incremental struct {
 	trackCost   bool
 	itemCost    []int32 // cached Mismatches(row(i), mode(assign[i]))
 	total       int64   // Σ itemCost, maintained exactly in integers
+
+	// Recount scratch, reused by every publish.
+	cursor  []int32         // per cluster: bucket write position, −1 if not recounted
+	members []int32         // the recounted clusters' members, bucketed
+	counts  []int32         // one cell per code, zero between recounts
+	mode    []dataset.Value // the recounted mode
 }
 
-// BeginIncremental builds the frequency tables from a complete
-// assignment and publishes the induced modes — the incremental
-// equivalent of the first RecomputeCentroids(assign) call, including the
-// empty-cluster policy (with identical rand draws). trackCost=false
-// skips objective bookkeeping; IncrementalCost then falls back to a
-// full Cost scan.
+// newIncremental sizes the engine's buffers, which last for the
+// Space's lifetime.
+func (s *Space) newIncremental() *incremental {
+	s.numberValues()
+	inc := &incremental{
+		sizes:       make([]int32, s.k),
+		dirty:       make([]bool, s.k),
+		dirtyList:   make([]int32, 0, s.k),
+		changedList: make([]int32, 0, s.k),
+		cursor:      make([]int32, s.k),
+		members:     make([]int32, s.NumItems()),
+		counts:      make([]int32, len(s.codeKeys)),
+		mode:        make([]dataset.Value, s.m),
+	}
+	for c := range inc.cursor {
+		inc.cursor[c] = -1
+	}
+	return inc
+}
+
+// BeginIncremental recounts every cluster's mode from a complete
+// assignment and publishes it — the incremental equivalent of the first
+// RecomputeCentroids(assign) call, including the empty-cluster policy
+// (with identical rand draws). trackCost=false skips objective
+// bookkeeping; IncrementalCost then falls back to a full Cost scan.
 func (s *Space) BeginIncremental(assign []int32, trackCost bool) {
 	n := s.NumItems()
 	if len(assign) != n {
 		panic("kmodes: assignment length mismatch")
 	}
+	if s.inc == nil {
+		s.inc = s.newIncremental()
+	}
 	inc := s.inc
-	if inc == nil {
-		inc = &incremental{}
-		s.inc = inc
+	clear(inc.sizes)
+	for _, c := range assign {
+		inc.sizes[c]++
 	}
-	inc.freq = NewFreqTable(s.k, s.m)
-	inc.dirty = make([]bool, s.k)
-	inc.changed = make([]bool, s.k)
 	inc.dirtyList = inc.dirtyList[:0]
-	inc.trackCost = trackCost
 	for c := 0; c < s.k; c++ {
-		// Current modes become the placeholders an empty cluster keeps.
-		inc.freq.SetMode(c, s.mode(c))
+		inc.dirty[c] = true
+		inc.dirtyList = append(inc.dirtyList, int32(c))
 	}
-	for i, c := range assign {
-		inc.freq.Add(int(c), s.ds.Row(i))
-	}
-	if s.policy == ReseedRandomItem {
-		for c := 0; c < s.k; c++ {
-			if inc.freq.Size(c) == 0 {
-				inc.freq.SetMode(c, s.ds.Row(s.rng.Intn(n)))
-			}
-		}
-	}
-	for c := 0; c < s.k; c++ {
-		copy(s.mode(c), inc.freq.Mode(c))
-	}
+	inc.trackCost = false // no cached costs to refresh yet
+	s.publish(assign)
 	// Every mode was just (re)published from scratch; report them all
 	// changed so a consumer never treats pre-Begin state as current.
 	inc.changedList = inc.changedList[:0]
 	for c := 0; c < s.k; c++ {
 		inc.changedList = append(inc.changedList, int32(c))
 	}
+	inc.trackCost = trackCost
 	if trackCost {
 		if cap(inc.itemCost) < n {
 			inc.itemCost = make([]int32, n)
@@ -93,91 +111,127 @@ func (s *Space) BeginIncremental(assign []int32, trackCost bool) {
 	}
 }
 
-// ApplyMove transfers one item between cluster frequency tables. The
-// visible modes are untouched until FinishPass, so moves applied during
-// a pass cannot perturb later assignment decisions in that pass.
+// ApplyMove records one item's move. The visible modes are untouched
+// until FinishPass, so moves applied during a pass cannot perturb later
+// assignment decisions in that pass.
+//
+//lshvet:noescape
 func (s *Space) ApplyMove(item int, from, to int32) {
 	inc := s.inc
-	row := s.ds.Row(item)
-	inc.freq.Move(int(from), int(to), row)
-	s.markDirty(from)
-	s.markDirty(to)
+	inc.sizes[from]--
+	inc.sizes[to]++
+	inc.markDirty(from)
+	inc.markDirty(to)
 	if inc.trackCost {
 		// Cost against the pass-frozen mode of the new cluster; if that
-		// mode changes at FinishPass the member rescan refreshes it.
-		d := int32(s.mismatches(row, s.mode(int(to))))
+		// mode changes at FinishPass the recount refreshes it.
+		d := int32(s.mismatches(s.ds.Row(item), s.mode(int(to))))
 		inc.total += int64(d - inc.itemCost[item])
 		inc.itemCost[item] = d
 	}
 }
 
-func (s *Space) markDirty(c int32) {
-	if !s.inc.dirty[c] {
-		s.inc.dirty[c] = true
-		s.inc.dirtyList = append(s.inc.dirtyList, c)
+func (inc *incremental) markDirty(c int32) {
+	if !inc.dirty[c] {
+		inc.dirty[c] = true
+		inc.dirtyList = append(inc.dirtyList, c)
 	}
 }
 
 // FinishPass publishes the modes of every cluster whose membership
 // changed since the last pass — the incremental equivalent of
 // RecomputeCentroids(assign).
-func (s *Space) FinishPass(assign []int32) {
+func (s *Space) FinishPass(assign []int32) { s.publish(assign) }
+
+// publish applies the empty-cluster policy, recounts every dirty
+// non-empty cluster's mode from its members under assign, publishes
+// the modes that changed (refreshing their members' cached costs) and
+// clears the dirty set. A dirty cluster that emptied keeps its visible
+// mode under KeepMode, as the batch path does.
+func (s *Space) publish(assign []int32) {
 	inc := s.inc
 	inc.changedList = inc.changedList[:0]
 	if s.policy == ReseedRandomItem {
 		// The batch path redraws a random item for every empty cluster
 		// on every recompute, dirty or not; replay that draw-for-draw.
 		for c := 0; c < s.k; c++ {
-			if inc.freq.Size(c) == 0 {
-				row := s.ds.Row(s.rng.Intn(s.NumItems()))
-				inc.freq.SetMode(c, row)
-				copy(s.mode(c), row)
+			if inc.sizes[c] == 0 {
+				copy(s.mode(c), s.ds.Row(s.rng.Intn(s.NumItems())))
 				inc.changedList = append(inc.changedList, int32(c))
 			}
 		}
 	}
-	changedAny := false
+	// Bucket the dirty clusters' members, in dirty-list order, with one
+	// scatter pass over assign: the sizes give every bucket's extent.
+	end := int32(0)
 	for _, c := range inc.dirtyList {
-		if inc.freq.Size(int(c)) == 0 {
-			if s.policy == KeepMode {
-				// A cluster emptied mid-pass keeps the mode of the
-				// previous pass (what the batch path does), not the
-				// per-attribute leftovers of the removal sequence;
-				// resync the table's placeholder to the visible mode.
-				inc.freq.SetMode(int(c), s.mode(int(c)))
-			}
-			continue
-		}
-		if !slices.Equal(inc.freq.Mode(int(c)), s.mode(int(c))) {
-			copy(s.mode(int(c)), inc.freq.Mode(int(c)))
-			inc.changed[c] = true
-			changedAny = true
-			inc.changedList = append(inc.changedList, c)
+		inc.cursor[c] = end
+		end += inc.sizes[c]
+	}
+	for i, c := range assign {
+		if p := inc.cursor[c]; p >= 0 {
+			inc.members[p] = int32(i)
+			inc.cursor[c] = p + 1
 		}
 	}
-	if inc.trackCost && changedAny {
-		// One light O(n) scan; the O(m) distance refresh touches only
-		// members of clusters whose mode actually changed.
-		for i, c := range assign {
-			if inc.changed[c] {
-				d := int32(s.mismatches(s.ds.Row(i), s.mode(int(c))))
+	for _, c := range inc.dirtyList {
+		hi := inc.cursor[c]
+		members := inc.members[hi-inc.sizes[c] : hi]
+		inc.cursor[c] = -1
+		inc.dirty[c] = false
+		if len(members) == 0 {
+			continue
+		}
+		s.recount(members)
+		mode := s.mode(int(c))
+		if slices.Equal(inc.mode, mode) {
+			continue
+		}
+		copy(mode, inc.mode)
+		inc.changedList = append(inc.changedList, c)
+		if inc.trackCost {
+			for _, i := range members {
+				d := int32(s.mismatches(s.ds.Row(int(i)), mode))
 				inc.total += int64(d - inc.itemCost[i])
 				inc.itemCost[i] = d
 			}
 		}
 	}
-	for _, c := range inc.dirtyList {
-		inc.dirty[c] = false
-		inc.changed[c] = false
-	}
 	inc.dirtyList = inc.dirtyList[:0]
+}
+
+// recount writes into s.inc.mode the per-attribute most frequent value
+// among members, ties to the smallest value ID — RecomputeCentroids'
+// rule. Within an attribute codes order like values, so the tie-break
+// compares codes. Per attribute, the first sweep counts the members'
+// codes; the second reads each code's total at its first occurrence
+// and zeroes it, which leaves counts zeroed and makes later occurrences
+// read 0, below any total.
+//
+//lshvet:noescape
+func (s *Space) recount(members []int32) {
+	m, codes, keys, counts, mode := s.m, s.codes, s.codeKeys, s.inc.counts, s.inc.mode
+	for a := range mode {
+		for _, i := range members {
+			counts[codes[int(i)*m+a]]++
+		}
+		best, bestCode := int32(0), int32(0)
+		for _, i := range members {
+			c := codes[int(i)*m+a]
+			if n := counts[c]; n > best || (n == best && c < bestCode) {
+				best, bestCode = n, c
+			}
+			counts[c] = 0
+		}
+		mode[a] = dataset.Value(keys[bestCode])
+	}
 }
 
 // ChangedClusters returns the clusters whose visible mode changed
 // during the most recent publish (BeginIncremental or FinishPass):
 // every reseeded empty cluster — each redraw counts as a change, even
 // when the same row is redrawn — plus every dirty cluster whose
-// recomputed mode actually differs from the published one. Valid until
+// recounted mode actually differs from the published one. Valid until
 // the next publish; the slice is reused. This is the
 // core.ChangeReporter capability the driver's active-set filter
 // consumes: items whose shortlist cannot reach any of these clusters

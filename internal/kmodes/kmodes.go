@@ -62,8 +62,13 @@ type Space struct {
 	freq     map[dataset.Value]int32
 	sizesBuf []int32
 
-	// inc holds the FreqTable-backed incremental engine state
-	// (core.IncrementalSpace); nil until BeginIncremental.
+	// codes and codeKeys are the dataset's value codes (pairs.go),
+	// numbered on first use by the exact scan or the incremental engine.
+	codes    []int32
+	codeKeys []uint64
+
+	// inc holds the incremental engine state (core.IncrementalSpace);
+	// nil until BeginIncremental.
 	inc *incremental
 
 	// post is the value→mode posting snapshot NearestExact scans

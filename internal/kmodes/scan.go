@@ -1,7 +1,6 @@
 package kmodes
 
 import (
-	"math/bits"
 	"slices"
 
 	"lshcluster/internal/dataset"
@@ -22,96 +21,63 @@ import (
 // SetScalarKernels does not apply to it.
 
 // postings is the read-only value→mode index behind NearestExact: for
-// every (attribute, value) pair held by at least one mode, the
-// ascending list of modes holding it, stored CSR-style in ids. An
-// open-addressed table maps the pair to its list.
+// every value code (pairs.go), the ascending list of modes holding that
+// (attribute, value) pair, stored CSR-style in ids. A mode pair no item
+// holds has no code and no list: no item could match it.
 type postings struct {
-	slots []postSlot // power-of-two length, at least twice the distinct pairs
-	shift uint       // 64 − log2(len(slots))
-	ids   []int32
+	off []int32 // code c's list is ids[off[c]:off[c+1]]
+	ids []int32
 }
-
-// postSlot is one table entry: the pair's key and its list ids[lo:hi].
-// Every list is non-empty, so hi == 0 marks an empty slot.
-type postSlot struct {
-	key    uint64
-	lo, hi int32
-}
-
-// postKey packs an (attribute, value) pair into a table key: the same
-// value ID under two attributes is two keys.
-func postKey(attr int, v dataset.Value) uint64 { return uint64(attr)<<32 | uint64(v) }
 
 // newPostings indexes the k·m mode values of modes (row-major, m per
-// mode).
-func newPostings(modes []dataset.Value, m int) *postings {
-	keys := make([]uint64, len(modes))
+// mode) by value code; keys is the Space's code→key array, ascending.
+func newPostings(modes []dataset.Value, m int, keys []uint64) *postings {
+	codes := make([]int32, len(modes))
 	for i, v := range modes {
-		keys[i] = postKey(i%m, v)
+		c, ok := slices.BinarySearch(keys, pairKey(i%m, v))
+		if !ok {
+			c = -1
+		}
+		codes[i] = int32(c)
 	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	logSlots := bits.Len(uint(2*len(keys) - 1))
-	p := &postings{
-		slots: make([]postSlot, 1<<logSlots),
-		shift: uint(64 - logSlots),
-		ids:   make([]int32, len(modes)),
-	}
-	for _, key := range keys {
-		*p.slot(key) = postSlot{key: key, hi: 1} // hi: occupied until sized
-	}
-	// Count each list's modes in lo, then lay the lists out end to end
-	// with lo = hi = the list's end, and fill them back to front with
-	// the modes in descending order, leaving each list ascending.
-	for i, v := range modes {
-		p.slot(postKey(i%m, v)).lo++
-	}
-	end := int32(0)
-	for h := range p.slots {
-		if s := &p.slots[h]; s.hi != 0 {
-			end += s.lo
-			s.lo, s.hi = end, end
+	// Count each list's modes in off[code+1], lay the lists out end to
+	// end, and fill each in ascending mode order with off[code] as its
+	// cursor; that leaves off[code] at the list's end, so shift off up
+	// by one.
+	p := &postings{off: make([]int32, len(keys)+1), ids: make([]int32, len(modes))}
+	for _, c := range codes {
+		if c >= 0 {
+			p.off[c+1]++
 		}
 	}
-	for i := len(modes) - 1; i >= 0; i-- {
-		s := p.slot(postKey(i%m, modes[i]))
-		s.lo--
-		p.ids[s.lo] = int32(i / m)
+	for c := 1; c < len(p.off); c++ {
+		p.off[c] += p.off[c-1]
 	}
+	for i, c := range codes {
+		if c >= 0 {
+			p.ids[p.off[c]] = int32(i / m)
+			p.off[c]++
+		}
+	}
+	copy(p.off[1:], p.off)
+	p.off[0] = 0
 	return p
 }
 
-// slot returns key's table entry, or the empty slot where it would go
-// (Fibonacci hashing, linear probing).
-func (p *postings) slot(key uint64) *postSlot {
-	mask := uint64(len(p.slots) - 1)
-	for h := (key * 0x9E3779B97F4A7C15) >> p.shift; ; h = (h + 1) & mask {
-		if s := &p.slots[h]; s.hi == 0 || s.key == key {
-			return s
-		}
-	}
-}
-
-// list returns the modes holding value v on attribute attr, ascending.
-func (p *postings) list(attr int, v dataset.Value) []int32 {
-	s := p.slot(postKey(attr, v))
-	return p.ids[s.lo:s.hi:s.hi]
-}
-
-// nearest returns the lowest-indexed mode with the most matches on row
-// (mode 0 when nothing matches). counts has one zeroed cell per mode;
-// nearest leaves it zeroed.
+// nearest returns the lowest-indexed mode with the most matches on the
+// item whose value codes are codes (mode 0 when nothing matches).
+// counts has one zeroed cell per mode; nearest leaves it zeroed.
 //
 //lshvet:noescape
-func (p *postings) nearest(row []dataset.Value, counts []int32) int {
-	for a, v := range row {
-		for _, c := range p.list(a, v) {
+func (p *postings) nearest(codes []int32, counts []int32) int {
+	for _, code := range codes {
+		for _, c := range p.ids[p.off[code]:p.off[code+1]] {
 			counts[c]++
 		}
 	}
 	best, bestC := int32(0), int32(0)
-	for a, v := range row {
-		for _, c := range p.list(a, v) {
+	for _, code := range codes {
+		for _, c := range p.ids[p.off[code]:p.off[code+1]] {
 			if n := counts[c]; n > best || (n == best && c < bestC) {
 				best, bestC = n, c
 			}
@@ -122,9 +88,12 @@ func (p *postings) nearest(row []dataset.Value, counts []int32) int {
 }
 
 // BeginExactScan snapshots the current modes into posting lists for
-// NearestExact. Call it exclusively; the modes must not change until
-// EndExactScan.
-func (s *Space) BeginExactScan() { s.post = newPostings(s.modes, s.m) }
+// NearestExact, numbering the dataset's value codes on first use. Call
+// it exclusively; the modes must not change until EndExactScan.
+func (s *Space) BeginExactScan() {
+	s.numberValues()
+	s.post = newPostings(s.modes, s.m, s.codeKeys)
+}
 
 // EndExactScan releases the posting lists.
 func (s *Space) EndExactScan() { s.post = nil }
@@ -136,5 +105,5 @@ func (s *Space) EndExactScan() { s.post = nil }
 //
 //lshvet:noescape
 func (s *Space) NearestExact(item int, scratch []int32) int {
-	return s.post.nearest(s.ds.Row(item), scratch)
+	return s.post.nearest(s.codes[item*s.m:(item+1)*s.m], scratch)
 }
